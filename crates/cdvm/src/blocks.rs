@@ -21,12 +21,21 @@
 //! TLB statistics and trace output are identical to the interpreter:
 //!
 //! * **Costs** are still charged by the one true `execute()` per
-//!   instruction; only the *deadline check* is hoisted, which is sound
-//!   because a block is entered only when `cycles + max_cost` fits the
-//!   deadline ([`Block::max_cost`] is a static upper bound, so every
-//!   instruction the block runs would also have been run by the
-//!   interpreter). Instructions with unbounded cost (`MemCpy`, `MemSet`,
-//!   register-driven `Work`) are never placed in a block.
+//!   instruction; only the *deadline check* moves. When `cycles +
+//!   max_cost` fits the deadline it is hoisted to the block entry
+//!   ([`Block::max_cost`] is a static upper bound, so every instruction
+//!   the block runs would also have been run by the interpreter).
+//!   Otherwise the block runs *budgeted*: the deadline is compared before
+//!   every instruction after the first — the interpreter's own "check,
+//!   then step" order — and the next `Cpu::run` *resumes* the block at
+//!   that index rather than forming a suffix block at the mid-block PC
+//!   (which would evict a real block every slice). A resume needs the
+//!   same PC, the same fill of the slot, and a block still current for
+//!   the page table, generation and epoch; it re-runs the entry phase at
+//!   the real PC but never uses the slot's crossing descriptor, whose
+//!   call-gate alignment was proven for [`Block::entry`] only.
+//!   Instructions with unbounded cost (`MemCpy`, `MemSet`, register-driven
+//!   `Work`) are never placed in a block; the interpreter steps them.
 //! * **iTLB accounting** batches the guaranteed same-page hits of the
 //!   non-entry instructions through [`simmem::Tlb::note_hits`], which
 //!   leaves the TLB in exactly the state the per-instruction accesses
@@ -79,7 +88,6 @@ use codoms::cap::Capability;
 use codoms::HwTag;
 use simmem::page::{page_offset, vpn};
 use simmem::{DomainTag, PageTableId, Pte, PAGE_SIZE};
-use std::sync::Arc;
 
 use crate::cost::CostModel;
 use crate::isa::{Instr, INSTR_BYTES};
@@ -243,8 +251,12 @@ fn may_write(i: &Instr) -> bool {
 
 /// Decodes a block starting at `entry` (8-byte aligned) from `page` (the
 /// whole backing frame). Always returns a block; if the first slot is not
-/// blockable the result is a step-only entry.
+/// blockable the result is a step-only entry. `instrs` is a scratch decode
+/// buffer (its contents are overwritten): the block body is copied out of
+/// it at its exact length, so a fill allocates once.
+#[allow(clippy::too_many_arguments)]
 pub fn form_block(
+    instrs: &mut Vec<BlockInstr>,
     pt: PageTableId,
     entry: u64,
     table_gen: u64,
@@ -258,7 +270,7 @@ pub fn form_block(
     let page_base = entry - page_offset(entry);
     let first_slot = (page_offset(entry) / INSTR_BYTES) as usize;
     let slots = (PAGE_SIZE / INSTR_BYTES) as usize;
-    let mut instrs = Vec::new();
+    instrs.clear();
     // Entry may miss the iTLB; every later fetch is a same-page hit.
     let mut max_cost = cost.tlb_miss;
     let mut end = BlockEnd::Dynamic;
@@ -347,7 +359,7 @@ pub fn form_block(
         table_gen,
         code_epoch,
         pte,
-        instrs: instrs.into_boxed_slice(),
+        instrs: instrs.as_slice().into(),
         max_cost,
         end,
         pure_len,
@@ -415,7 +427,7 @@ struct Hint {
 }
 
 struct Slot {
-    block: Option<Arc<Block>>,
+    block: Option<Block>,
     /// Monotonic fill sequence number; chain hints referencing an older
     /// sequence are dead.
     seq: u64,
@@ -453,6 +465,11 @@ pub struct BlockStats {
     /// Crossing checks that ran the full `check_jump` (no descriptor, or a
     /// stale one).
     pub cross_misses: u64,
+    /// Block executions that ran *budgeted* (worst-case cost did not fit
+    /// the deadline, so the deadline was checked per instruction).
+    pub budgeted: u64,
+    /// Runs that re-entered the block a deadline exit had left mid-way.
+    pub resumes: u64,
 }
 
 /// 2-way set-associative cache of [`Block`]s keyed by `(page table,
@@ -464,6 +481,20 @@ pub struct BlockCache {
     seq: u64,
     tick: u64,
     stats: BlockStats,
+    /// Decode buffer reused across fills (see [`form_block`]).
+    scratch: Vec<BlockInstr>,
+    /// Where the last run left a block at its deadline.
+    parked: Option<Parked>,
+}
+
+/// A mid-block resume point: `slot`'s block (pinned to one fill by `seq`,
+/// like a chain hint) was left with `pc` about to execute `instrs[index]`.
+#[derive(Clone, Copy)]
+struct Parked {
+    pc: u64,
+    slot: usize,
+    seq: u64,
+    index: usize,
 }
 
 impl Default for BlockCache {
@@ -475,14 +506,8 @@ impl Default for BlockCache {
 impl BlockCache {
     /// Creates an empty cache.
     pub fn new() -> BlockCache {
-        BlockCache {
-            slots: (0..ENTRIES)
-                .map(|_| Slot { block: None, seq: 0, hints: [None; 2], last: 0, cross: None })
-                .collect(),
-            seq: 0,
-            tick: 0,
-            stats: BlockStats::default(),
-        }
+        let empty = || Slot { block: None, seq: 0, hints: [None; 2], last: 0, cross: None };
+        BlockCache { slots: (0..ENTRIES).map(|_| empty()).collect(), ..Self::hollow() }
     }
 
     /// A zero-capacity placeholder, used to detach the real cache from the
@@ -491,7 +516,14 @@ impl BlockCache {
     /// lookup or insert on it would panic; the dispatch loop never lets
     /// one escape.
     pub(crate) fn hollow() -> BlockCache {
-        BlockCache { slots: Vec::new(), seq: 0, tick: 0, stats: BlockStats::default() }
+        BlockCache {
+            slots: Vec::new(),
+            seq: 0,
+            tick: 0,
+            stats: BlockStats::default(),
+            scratch: Vec::new(),
+            parked: None,
+        }
     }
 
     #[inline]
@@ -542,11 +574,29 @@ impl BlockCache {
     /// [`BlockCache::insert`] / [`BlockCache::follow_hint`].
     #[inline]
     pub fn block_at(&self, slot: usize) -> &Block {
-        self.slots[slot].block.as_deref().expect("slot holds a block")
+        self.slots[slot].block.as_ref().expect("slot holds a block")
     }
 
-    /// Installs a freshly formed block, returning its slot index and a
-    /// handle to it. The victim way is, in priority order: the way already
+    /// Forms the block entered at `(pt, entry)` from `page` (see
+    /// [`form_block`]) and installs it, returning its slot index.
+    #[allow(clippy::too_many_arguments)]
+    pub fn fill(
+        &mut self,
+        pt: PageTableId,
+        entry: u64,
+        table_gen: u64,
+        code_epoch: u64,
+        pte: Pte,
+        page: &[u8],
+        cost: &CostModel,
+    ) -> usize {
+        let block =
+            form_block(&mut self.scratch, pt, entry, table_gen, code_epoch, pte, page, cost);
+        self.insert(block)
+    }
+
+    /// Installs a freshly formed block, returning its slot index. The
+    /// victim way is, in priority order: the way already
     /// holding this `(pt, entry)` (in-place refresh of a stale block), an
     /// empty way, or the least-recently-used way of the set.
     pub fn insert(&mut self, block: Block) -> usize {
@@ -574,7 +624,7 @@ impl BlockCache {
         self.tick += 1;
         self.stats.fills += 1;
         self.slots[idx] = Slot {
-            block: Some(Arc::new(block)),
+            block: Some(block),
             seq: self.seq,
             hints: [None; 2],
             last: self.tick,
@@ -612,12 +662,51 @@ impl BlockCache {
         }
     }
 
+    /// Records that a run hit its deadline in `slot`'s block with `pc`
+    /// about to execute `instrs[index]`.
+    #[inline]
+    pub fn park(&mut self, slot: usize, pc: u64, index: usize) {
+        self.parked = Some(Parked { pc, slot, seq: self.slots[slot].seq, index });
+    }
+
+    /// Consumes the parked resume point. `Some((slot, index))` if the run
+    /// starts at the parked PC, the slot still holds that fill, and the
+    /// block is current for `pt` under the live invalidation counters:
+    /// `instrs[index..]` is then what the interpreter would fetch from
+    /// `pc` on. Counts as a hit, like a followed chain hint.
+    #[inline]
+    pub fn resume(
+        &mut self,
+        pc: u64,
+        pt: PageTableId,
+        table_gen: u64,
+        code_epoch: u64,
+    ) -> Option<(usize, usize)> {
+        let p = self.parked.take()?;
+        let s = &mut self.slots[p.slot];
+        let b = s.block.as_ref()?;
+        if p.pc != pc || s.seq != p.seq || !Self::valid(b, pt, b.entry, table_gen, code_epoch) {
+            return None;
+        }
+        self.stats.resumes += 1;
+        self.stats.hits += 1;
+        self.tick += 1;
+        s.last = self.tick;
+        Some((p.slot, p.index))
+    }
+
     /// Records that the block in `to_slot` follows edge `edge` of
     /// `from_slot` at `pc`.
     #[inline]
     pub fn set_hint(&mut self, from_slot: usize, edge: usize, pc: u64, to_slot: usize) {
         let seq = self.slots[to_slot].seq;
         self.slots[from_slot].hints[edge] = Some(Hint { pc, slot: to_slot, seq });
+    }
+
+    /// Records a budgeted block execution (for telemetry).
+    #[inline]
+    pub fn note_budgeted(&mut self) {
+        self.stats.budgeted += 1;
     }
 
     /// Records a mid-block abort (for telemetry).
@@ -675,6 +764,10 @@ mod tests {
 
     const PT: PageTableId = PageTableId(0);
 
+    fn form(entry: u64, table_gen: u64, code_epoch: u64, page: &[u8], cost: &CostModel) -> Block {
+        form_block(&mut Vec::new(), PT, entry, table_gen, code_epoch, pte(), page, cost)
+    }
+
     #[test]
     fn same_page_loop_unrolls_to_max_len() {
         let cost = CostModel::default();
@@ -683,7 +776,7 @@ mod tests {
             Instr::Xor { rd: 6, rs1: 5, rs2: 5 },
             Instr::Jal { rd: 0, imm: -16 },
         ]);
-        let b = form_block(PT, 0x1000, 1, 2, pte(), &page, &cost);
+        let b = form(0x1000, 1, 2, &page, &cost);
         // The same-page backward jump is followed during formation, so the
         // three-instruction loop body repeats until the length cap; the
         // block then ends mid-body with a static fall-through edge.
@@ -700,7 +793,7 @@ mod tests {
             Instr::Addi { rd: 5, rs1: 5, imm: 1 },
             Instr::Jal { rd: 0, imm: PAGE_SIZE as i32 },
         ]);
-        let b = form_block(PT, 0x1000, 1, 2, pte(), &page, &cost);
+        let b = form(0x1000, 1, 2, &page, &cost);
         // A jump off this page cannot be inlined (a different PTE means a
         // fresh crossing check); it stays a chainable static edge.
         assert_eq!(b.instrs.len(), 2);
@@ -716,7 +809,7 @@ mod tests {
             Instr::Bne { rs1: 5, rs2: 0, imm: -8 },
             Instr::Halt,
         ]);
-        let b = form_block(PT, 0x2000, 0, 0, pte(), &page, &cost);
+        let b = form(0x2000, 0, 0, &page, &cost);
         assert_eq!(b.instrs.len(), 2);
         assert_eq!(b.end, BlockEnd::Branch { taken: 0x2000, fall: 0x2010 });
     }
@@ -726,15 +819,15 @@ mod tests {
         let cost = CostModel::default();
         // Work with a register operand has register-driven cost.
         let page = page_of(&[Instr::Nop, Instr::Work { rs1: 5, imm: 0 }, Instr::Halt]);
-        let b = form_block(PT, 0x1000, 0, 0, pte(), &page, &cost);
+        let b = form(0x1000, 0, 0, &page, &cost);
         assert_eq!(b.instrs.len(), 1, "block must stop before the Work");
         assert_eq!(b.end, BlockEnd::Jump { target: 0x1008 });
         // At the Work itself: a step-only entry.
-        let b = form_block(PT, 0x1008, 0, 0, pte(), &page, &cost);
+        let b = form(0x1008, 0, 0, &page, &cost);
         assert!(b.instrs.is_empty());
         // Immediate-form Work is statically bounded and blockable.
         let page = page_of(&[Instr::Work { rs1: 0, imm: 500 }, Instr::Halt]);
-        let b = form_block(PT, 0x1000, 0, 0, pte(), &page, &cost);
+        let b = form(0x1000, 0, 0, &page, &cost);
         assert_eq!(b.instrs.len(), 2);
         assert_eq!(b.max_cost, cost.tlb_miss + (cost.base + 500) + cost.base);
     }
@@ -744,10 +837,10 @@ mod tests {
         let cost = CostModel::default();
         let mut page = page_of(&[Instr::Nop, Instr::Nop]);
         page[16..24].copy_from_slice(&[0xEE; 8]);
-        let b = form_block(PT, 0x1000, 0, 0, pte(), &page, &cost);
+        let b = form(0x1000, 0, 0, &page, &cost);
         assert_eq!(b.instrs.len(), 2);
         assert_eq!(b.end, BlockEnd::Jump { target: 0x1010 });
-        let b = form_block(PT, 0x1010, 0, 0, pte(), &page, &cost);
+        let b = form(0x1010, 0, 0, &page, &cost);
         assert!(b.instrs.is_empty(), "undecodable entry is step-only");
     }
 
@@ -756,7 +849,7 @@ mod tests {
         let cost = CostModel::default();
         let page = page_of(&[]); // all Nops
         let last = 0x1000 + PAGE_SIZE - 2 * INSTR_BYTES;
-        let b = form_block(PT, last, 0, 0, pte(), &page, &cost);
+        let b = form(last, 0, 0, &page, &cost);
         assert_eq!(b.instrs.len(), 2);
         assert_eq!(b.end, BlockEnd::Jump { target: 0x1000 + PAGE_SIZE });
     }
@@ -767,7 +860,7 @@ mod tests {
         let page = page_of(&[Instr::Nop, Instr::Jal { rd: 0, imm: -8 }]);
         let mut cache = BlockCache::new();
         assert!(cache.lookup(PT, 0x1000, 5, 7).is_none());
-        let b = form_block(PT, 0x1000, 5, 7, pte(), &page, &cost);
+        let b = form(0x1000, 5, 7, &page, &cost);
         let slot = cache.insert(b);
         assert!(cache.lookup(PT, 0x1000, 5, 7).is_some());
         assert!(cache.lookup(PT, 0x1000, 6, 7).is_none(), "stale generation");
@@ -777,7 +870,7 @@ mod tests {
         assert!(cache.follow_hint(slot, 0, 0x1000, PT, 5, 7).is_some());
         assert!(cache.follow_hint(slot, 0, 0x1000, PT, 5, 8).is_none(), "stale chained epoch");
         // Refilling the slot kills outstanding hints via the sequence number.
-        let b2 = form_block(PT, 0x1000, 5, 8, pte(), &page, &cost);
+        let b2 = form(0x1000, 5, 8, &page, &cost);
         cache.set_hint(slot, 0, 0x1000, slot);
         let seq_hint = cache.slots[slot].hints[0].unwrap().seq;
         let slot2 = cache.insert(b2);
@@ -806,8 +899,8 @@ mod tests {
         let e1 = same_set.next().unwrap();
         let e2 = same_set.next().unwrap();
         let mut cache = BlockCache::new();
-        cache.insert(form_block(PT, e0, 0, 0, pte(), &page, &cost));
-        cache.insert(form_block(PT, e1, 0, 0, pte(), &page, &cost));
+        cache.insert(form(e0, 0, 0, &page, &cost));
+        cache.insert(form(e1, 0, 0, &page, &cost));
         // Both ways live: the direct-mapped design would have evicted e0.
         assert!(cache.lookup(PT, e0, 0, 0).is_some());
         assert!(cache.lookup(PT, e1, 0, 0).is_some());
@@ -815,7 +908,7 @@ mod tests {
         // Make e0 the MRU way, then overflow the set: the LRU way (e1)
         // must be the victim, and the displacement is a genuine conflict.
         assert!(cache.lookup(PT, e0, 0, 0).is_some());
-        cache.insert(form_block(PT, e2, 0, 0, pte(), &page, &cost));
+        cache.insert(form(e2, 0, 0, &page, &cost));
         assert!(cache.lookup(PT, e0, 0, 0).is_some(), "MRU way survives");
         assert!(cache.lookup(PT, e2, 0, 0).is_some());
         assert!(cache.lookup(PT, e1, 0, 0).is_none(), "LRU way was evicted");
@@ -829,7 +922,7 @@ mod tests {
         let cost = CostModel::default();
         let page = page_of(&[Instr::Nop, Instr::Halt]);
         let mut cache = BlockCache::new();
-        let slot = cache.insert(form_block(PT, 0x1000, 0, 0, pte(), &page, &cost));
+        let slot = cache.insert(form(0x1000, 0, 0, &page, &cost));
         assert!(cache.cross_desc(slot).is_none());
         cache.set_cross_desc(
             slot,
@@ -846,7 +939,7 @@ mod tests {
         assert_eq!(d.apl_version, 7);
         assert_eq!(d.probe, CrossProbe::Hit(HwTag(3)));
         // Refilling the way clears the descriptor.
-        let slot2 = cache.insert(form_block(PT, 0x1000, 1, 0, pte(), &page, &cost));
+        let slot2 = cache.insert(form(0x1000, 1, 0, &page, &cost));
         assert_eq!(slot, slot2);
         assert!(cache.cross_desc(slot).is_none());
     }
@@ -860,7 +953,7 @@ mod tests {
             Instr::Ld { rd: 7, rs1: 2, imm: 0 },
             Instr::Halt,
         ]);
-        let b = form_block(PT, 0x1000, 0, 0, pte(), &page, &cost);
+        let b = form(0x1000, 0, 0, &page, &cost);
         assert_eq!(b.instrs.len(), 4);
         assert_eq!(b.pure_len, 2, "Addi and Xor are pure; Ld is not");
         assert!(b.instrs[0].handler != 0 && b.instrs[1].handler != 0);

@@ -19,9 +19,7 @@ use codoms::{AplCache, Perm};
 use simmem::page::{page_align_down, page_offset, vpn, Access};
 use simmem::{Bus, DomainTag, MemFault, Memory, PageFlags, PageTableId, Pte, Tlb, PAGE_SIZE};
 
-use crate::blocks::{
-    form_block, BlockCache, BlockEnd, BlockStats, CrossDesc, CrossGrant, CrossProbe,
-};
+use crate::blocks::{BlockCache, BlockEnd, BlockStats, CrossDesc, CrossGrant, CrossProbe};
 use crate::cost::CostModel;
 use crate::dcache::{DCache, DGrant};
 use crate::icache::InstrCache;
@@ -200,6 +198,9 @@ enum BlockOutcome {
     Bailed,
     /// A step event stopped execution at the precise instruction.
     Event(StepEvent),
+    /// A budgeted run reached the deadline before `instrs[index]`; the PC
+    /// points at that (unexecuted) instruction.
+    Deadline(usize),
 }
 
 impl Cpu {
@@ -377,13 +378,13 @@ impl Cpu {
         RunExit { event: StepEvent::Retired, retired, deadline: true }
     }
 
-    /// The block-dispatch run loop: resolve a superblock at the PC,
-    /// execute it whole when its worst-case cost fits the deadline, and
-    /// chain to the statically known successor while the budget holds.
-    /// Anything that cannot be proven safe at block granularity — an
-    /// unblockable PC, a near-deadline entry, a mid-block code-epoch bump —
-    /// falls back to the interpreter for exactly one instruction and
-    /// re-dispatches, so simulated behavior is identical by construction.
+    /// The block-dispatch run loop: resolve a superblock at the PC (first
+    /// the one the previous run left mid-way, if it is still valid),
+    /// execute it — whole when its worst-case cost fits the deadline,
+    /// otherwise budgeted, checking the deadline per instruction — and
+    /// chain to the statically known successor while the budget holds. A
+    /// PC no block can cover (misaligned, unmapped, step-only) goes to the
+    /// interpreter for exactly one instruction and re-dispatches.
     fn run_blocks<M: Bus>(
         &mut self,
         mem: &mut M,
@@ -393,9 +394,7 @@ impl Cpu {
     ) -> RunExit {
         // Detach the block cache from the CPU for the whole dispatch run:
         // blocks are then borrowed *in place* from the detached cache while
-        // `self` stays mutably borrowable, instead of cloning an `Arc`
-        // handle per dispatched block (atomic refcount traffic dominated
-        // short-block workloads like cross-domain ping-pong).
+        // `self` stays mutably borrowable.
         let mut bcache = std::mem::replace(&mut self.bcache, BlockCache::hollow());
         let exit = self.run_blocks_detached(&mut bcache, mem, rev, cost, deadline);
         self.bcache = bcache;
@@ -412,7 +411,13 @@ impl Cpu {
     ) -> RunExit {
         let mut retired = 0u64;
         'dispatch: while self.cycles < deadline {
-            let Some(mut slot) = self.lookup_or_form(bcache, mem, cost) else {
+            // First the block the previous run left mid-way, if this run
+            // starts at that PC and the block is still current.
+            let pt = self.active_pt;
+            let entry = bcache
+                .resume(self.pc, pt, mem.table_generation(pt), mem.code_epoch())
+                .or_else(|| self.lookup_or_form(bcache, mem, cost).map(|slot| (slot, 0)));
+            let Some((mut slot, mut from)) = entry else {
                 // Unblockable PC (misaligned, or unmapped — the interpreter
                 // raises the exact fault).
                 match self.step(mem, rev, cost) {
@@ -431,17 +436,23 @@ impl Cpu {
                     let b = bcache.block_at(slot);
                     (b.instrs.is_empty(), b.max_cost)
                 };
-                if step_only || self.cycles.saturating_add(max_cost) >= deadline {
-                    // Step-only entry, or the block's worst case might
-                    // cross the deadline: interpret one instruction (the
-                    // interpreter re-checks the deadline per step).
+                if step_only {
                     match self.step(mem, rev, cost) {
                         StepEvent::Retired => retired += 1,
                         ev => return RunExit { event: ev, retired, deadline: false },
                     }
                     continue 'dispatch;
                 }
-                match self.exec_block(bcache, slot, mem, rev, cost, &mut retired) {
+                // When the block's worst case might cross the deadline it
+                // runs budgeted (the deadline re-checked per instruction).
+                let fits = self.cycles.saturating_add(max_cost) < deadline;
+                let outcome = if fits && from == 0 {
+                    self.exec_block(bcache, slot, 0, None, mem, rev, cost, &mut retired)
+                } else {
+                    let budget = (!fits).then_some(deadline);
+                    self.exec_block_tail(bcache, slot, from, budget, mem, rev, cost, &mut retired)
+                };
+                match outcome {
                     BlockOutcome::Event(ev) => {
                         return RunExit { event: ev, retired, deadline: false }
                     }
@@ -449,7 +460,11 @@ impl Cpu {
                         bcache.note_bail();
                         continue 'dispatch;
                     }
-                    BlockOutcome::Done => {}
+                    BlockOutcome::Deadline(index) => {
+                        bcache.park(slot, self.pc, index);
+                        return RunExit { event: StepEvent::Retired, retired, deadline: true };
+                    }
+                    BlockOutcome::Done => from = 0,
                 }
                 // Chain across the static edge when the successor is known.
                 match self.next_chained(bcache, slot, mem, cost) {
@@ -482,10 +497,10 @@ impl Cpu {
             return Some(found);
         }
         let pte = mem.translate(pt, pc, Access::Exec).ok()?;
-        let block =
-            form_block(pt, pc, table_gen, code_epoch, pte, mem.frame_bytes(pte.frame), cost);
+        let slot =
+            bcache.fill(pt, pc, table_gen, code_epoch, pte, mem.frame_bytes(pte.frame), cost);
         mem.mark_code(pte.frame);
-        Some(bcache.insert(block))
+        Some(slot)
     }
 
     /// Follows `block`'s successor edge to the block at the new PC,
@@ -542,10 +557,21 @@ impl Cpu {
     /// have made) instead of re-derived; any mismatch falls back to the
     /// full [`codoms::check::Checker::check_jump`], which re-installs the
     /// descriptor on success. Disabled by `CDVM_NO_XBLOCKS=1`.
+    ///
+    /// `from` is the first instruction to execute: 0, or a resume index —
+    /// the PC is then a mid-block PC on the same page, so the entry phase
+    /// applies unchanged except that the crossing descriptor (its
+    /// call-gate alignment was proven for the entry PC only) is neither
+    /// consulted nor installed. With a `budget`, the deadline is checked
+    /// before every instruction after the first, as the interpreter does.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn exec_block<M: Bus>(
         &mut self,
         bcache: &mut BlockCache,
         slot: usize,
+        from: usize,
+        budget: Option<u64>,
         mem: &mut M,
         rev: &mut RevocationTable,
         cost: &CostModel,
@@ -553,12 +579,13 @@ impl Cpu {
     ) -> BlockOutcome {
         let pc = self.pc;
         let pte = bcache.block_at(slot).pte;
-        debug_assert_eq!(pc, bcache.block_at(slot).entry);
+        debug_assert!(from > 0 || pc == bcache.block_at(slot).entry);
         if !self.itlb.access(self.active_pt, pc) {
             self.cycles += cost.tlb_miss;
         }
         if !self.kernel_mode && pte.tag != self.cur_dom {
-            let cached = self.xblocks
+            let xdesc = self.xblocks && from == 0;
+            let cached = xdesc
                 && match bcache.cross_desc(slot) {
                     Some(d)
                         if d.from == self.cur_dom
@@ -582,7 +609,7 @@ impl Cpu {
                     _ => false,
                 };
             if !cached {
-                if self.xblocks {
+                if xdesc {
                     bcache.note_cross_miss();
                 }
                 match self.checker.check_jump(
@@ -595,7 +622,7 @@ impl Cpu {
                     self.thread,
                 ) {
                     Ok(decision) => {
-                        if self.xblocks {
+                        if xdesc {
                             self.install_cross_desc(bcache, slot, pte.tag, decision);
                         }
                     }
@@ -624,21 +651,26 @@ impl Cpu {
         // `self`, so no handle clone is needed).
         let block = bcache.block_at(slot);
 
-        let mut start = 0;
-        if self.threaded && !self.instrument && block.pure_len > 0 {
-            // Direct-threaded dispatch of the pure prefix: every
-            // instruction in it provably retires with no event, no memory
-            // access and no privilege check (see [`crate::threaded`]), so
-            // the general loop's per-instruction plumbing is dead weight.
+        let mut start = from;
+        if self.threaded && !self.instrument {
             // The handlers keep x0 zeroed; zero it once up front so they
             // start from the same state the general loop maintains.
             self.regs[0] = 0;
-            for bi in &block.instrs[..block.pure_len] {
-                crate::threaded::HANDLERS[bi.handler as usize](self, bi, cost);
+            if budget.is_none() && block.pure_len > from {
+                // Direct-threaded dispatch of the pure prefix: every
+                // instruction in it provably retires with no event, no
+                // memory access and no privilege check (see
+                // [`crate::threaded`]), so the general loop's plumbing is
+                // dead weight. (A budgeted run needs that loop's deadline
+                // check; it dispatches the same handlers one by one.)
+                for bi in &block.instrs[from..block.pure_len] {
+                    crate::threaded::HANDLERS[bi.handler as usize](self, bi, cost);
+                }
+                let n = (block.pure_len - from) as u64;
+                self.retired += n;
+                *retired += n;
+                start = block.pure_len;
             }
-            self.retired += block.pure_len as u64;
-            *retired += block.pure_len as u64;
-            start = block.pure_len;
         }
 
         // One-entry operand memo: the last dcache decision this block run
@@ -646,12 +678,18 @@ impl Cpu {
         // page skip even the dcache probe. Scoped to this one block run —
         // it never survives a block edge (where the domain can change).
         let mut dmemo: Option<DMemo> = None;
+        // Every exit settles the guaranteed iTLB hits of the fetches after
+        // the entry's real access: `done - from`, less the entry itself.
         for (k, bi) in block.instrs.iter().enumerate().skip(start) {
+            if k > from && budget.is_some_and(|deadline| self.cycles >= deadline) {
+                self.itlb.note_hits(block.pt, block.entry, (k - 1 - from) as u64);
+                return BlockOutcome::Deadline(k);
+            }
             if bi.privileged
                 && !self.kernel_mode
                 && !self.cur_page_flags.contains(PageFlags::PRIV_CAP)
             {
-                self.itlb.note_hits(block.pt, block.entry, k as u64);
+                self.itlb.note_hits(block.pt, block.entry, (k - from) as u64);
                 return BlockOutcome::Event(self.fault(FaultKind::Privilege));
             }
             // Pure instructions that sit *after* the first impure one (so
@@ -709,7 +747,7 @@ impl Cpu {
                         // Self-modifying write: the rest of the block may
                         // be stale. The PC already points at the next
                         // instruction; re-dispatch from fresh bytes.
-                        self.itlb.note_hits(block.pt, block.entry, k as u64);
+                        self.itlb.note_hits(block.pt, block.entry, (k - from) as u64);
                         return BlockOutcome::Bailed;
                     }
                 }
@@ -721,17 +759,40 @@ impl Cpu {
                         self.exec_stats.record(&bi.instr);
                     }
                     self.regs[0] = 0;
-                    self.itlb.note_hits(block.pt, block.entry, k as u64);
+                    self.itlb.note_hits(block.pt, block.entry, (k - from) as u64);
                     return BlockOutcome::Event(ev);
                 }
                 ev => {
-                    self.itlb.note_hits(block.pt, block.entry, k as u64);
+                    self.itlb.note_hits(block.pt, block.entry, (k - from) as u64);
                     return BlockOutcome::Event(ev);
                 }
             }
         }
-        self.itlb.note_hits(block.pt, block.entry, (block.instrs.len() - 1) as u64);
+        self.itlb.note_hits(block.pt, block.entry, (block.instrs.len() - 1 - from) as u64);
         BlockOutcome::Done
+    }
+
+    /// [`Cpu::exec_block`] for a resumed and/or budgeted run, out of line:
+    /// the whole-block call in the run loop then inlines with `from = 0`
+    /// and no budget folded in, so the hot loop carries none of this
+    /// plumbing (in line it cost 4–10 % on long-slice dIPC call loops).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn exec_block_tail<M: Bus>(
+        &mut self,
+        bcache: &mut BlockCache,
+        slot: usize,
+        from: usize,
+        budget: Option<u64>,
+        mem: &mut M,
+        rev: &mut RevocationTable,
+        cost: &CostModel,
+        retired: &mut u64,
+    ) -> BlockOutcome {
+        if budget.is_some() {
+            bcache.note_budgeted();
+        }
+        self.exec_block(bcache, slot, from, budget, mem, rev, cost, retired)
     }
 
     /// Builds the crossing descriptor for a just-passed full check on

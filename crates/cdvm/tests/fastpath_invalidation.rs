@@ -830,3 +830,276 @@ fn smp_cross_cpu_epoch_bump_invalidates_crossing_blocks_at_barrier() {
         assert_eq!(strip(o), strip(&outcomes[0]), "outcome diverged: {outcomes:?}");
     }
 }
+
+// ---------------------------------------------------------------------
+// Mid-block resume invalidation: a run that hits its deadline inside a
+// block leaves a resume point, and the next run re-enters the block at
+// that instruction — but only if nothing it depends on moved between the
+// two runs. Each attack below strikes exactly in that gap and must leave
+// the CPU where the interpreter ends up.
+// ---------------------------------------------------------------------
+
+/// What authorises domain 1's jump into domain 2 in a resume scenario.
+#[derive(Clone, Copy)]
+enum Entry {
+    /// APL `Read`: any address of domain 2 may be entered.
+    AplRead,
+    /// APL `Call`: only gate-aligned addresses may be entered.
+    AplCall,
+    /// No APL grant; a synchronous capability over the callee page.
+    SyncCap,
+}
+
+/// Pages of one-instruction blocks (always-taken branches to the next
+/// slot), enough distinct entries to refill every block-cache way.
+const SWEEP: u64 = 0x80_000;
+const SWEEP_PAGES: u64 = 4;
+
+/// Domain 1 at `CODE`: twelve `A0 += 1`, then a jump to `FAR`; domain 2 at
+/// `FAR`: twelve `A1 += 1`, then `Halt`. After a warm run to `Halt` (so
+/// every block is cached and both crossing edges carry descriptors) the
+/// CPU restarts at `CODE` with a deadline `first_slice` cycles away — one
+/// cycle per instruction, so it stops before instruction `first_slice` of
+/// the 26 — then `attack` strikes and the run continues to an event.
+/// Returns the final event, cycles, retired, crossings since the warm run,
+/// A0..A2, and how many resumes the engine took.
+fn resume_scenario(
+    (blocks, xblocks): (bool, bool),
+    entry: Entry,
+    first_slice: u64,
+    attack: impl FnOnce(&mut Cpu, &mut Memory, &mut RevocationTable),
+) -> ((StepEvent, u64, u64, u64, [u64; 3]), u64) {
+    simmem::set_blocks(Some(blocks));
+    simmem::set_xblocks(Some(xblocks));
+    let mut a = Asm::new();
+    for _ in 0..12 {
+        a.push(Instr::Addi { rd: A0, rs1: A0, imm: 1 });
+    }
+    let here = a.here();
+    a.push(Instr::Jal { rd: 0, imm: (FAR - (CODE + here)) as i32 });
+    let caller = a.finish().bytes;
+    let mut a = Asm::new();
+    for _ in 0..12 {
+        a.push(Instr::Addi { rd: A1, rs1: A1, imm: 1 });
+    }
+    a.push(Instr::Halt);
+    let callee = a.finish().bytes;
+
+    let mut mem = Memory::new();
+    let pt = Memory::GLOBAL_PT;
+    mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
+    mem.kwrite(pt, CODE, &caller).unwrap();
+    mem.map_anon(pt, FAR, 1, PageFlags::RX, DomainTag(2));
+    mem.kwrite(pt, FAR, &callee).unwrap();
+    mem.map_anon(pt, SWEEP, SWEEP_PAGES, PageFlags::RX, DomainTag(1));
+    let slots = SWEEP_PAGES * PAGE_SIZE / 8;
+    for s in 0..slots {
+        let i = if s + 1 == slots { Instr::Halt } else { Instr::Beq { rs1: 0, rs2: 0, imm: 8 } };
+        mem.kwrite(pt, SWEEP + s * 8, &i.encode()).unwrap();
+    }
+    let mut cpu = Cpu::new(0);
+    cpu.pc = CODE;
+    cpu.cur_dom = DomainTag(1);
+    cpu.thread = 1;
+    let mut to2 = Apl::new();
+    match entry {
+        Entry::AplRead => to2.set(DomainTag(2), Perm::Read),
+        Entry::AplCall => to2.set(DomainTag(2), Perm::Call),
+        Entry::SyncCap => {
+            cpu.caps[0] = Some(Capability {
+                base: FAR,
+                len: PAGE_SIZE,
+                perm: Perm::Read,
+                kind: CapKind::Sync { owner: 1, epoch: 0 },
+                origin: DomainTag(2),
+            })
+        }
+    }
+    cpu.apl_cache.fill(DomainTag(1), to2);
+    cpu.apl_cache.fill(DomainTag(2), Apl::new());
+    let mut rev = RevocationTable::new();
+    let cost = CostModel::default();
+
+    assert_eq!(run_to_event(&mut cpu, &mut mem, &mut rev), StepEvent::Halt, "warm run");
+    let warm_crossings = cpu.domain_crossings;
+    cpu.pc = CODE;
+    cpu.cur_dom = DomainTag(1);
+    cpu.regs = [0; 32];
+    let exit = cpu.run(&mut mem, &mut rev, &cost, cpu.cycles + first_slice);
+    assert!(exit.deadline && exit.retired == first_slice, "first slice: {exit:?}");
+    let before = cpu.block_stats();
+    assert_eq!(before.resumes, 0);
+    if blocks {
+        assert!(before.budgeted >= 1, "the first slice must end inside a budgeted block");
+    }
+    attack(&mut cpu, &mut mem, &mut rev);
+    let ev = run_to_event(&mut cpu, &mut mem, &mut rev);
+    simmem::set_blocks(None);
+    simmem::set_xblocks(None);
+    let regs = [cpu.reg(A0), cpu.reg(A1), cpu.reg(A2)];
+    let crossings = cpu.domain_crossings - warm_crossings;
+    ((ev, cpu.cycles, cpu.retired, crossings, regs), cpu.block_stats().resumes)
+}
+
+/// Runs one attack through every mode, demands the interpreter's outcome
+/// everywhere, and checks whether the block engine took the resume
+/// (`resumed`) or rejected it. Returns the common outcome.
+fn assert_resume_identical(
+    name: &str,
+    entry: Entry,
+    first_slice: u64,
+    resumed: bool,
+    attack: impl Fn(&mut Cpu, &mut Memory, &mut RevocationTable) + Copy,
+) -> (StepEvent, u64, u64, u64, [u64; 3]) {
+    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (base, _) = resume_scenario(XMODES[0], entry, first_slice, attack);
+    for mode in XMODES.into_iter().skip(1) {
+        let (got, resumes) = resume_scenario(mode, entry, first_slice, attack);
+        assert_eq!(got, base, "{name} {mode:?}: diverged from the interpreter");
+        if mode.0 {
+            assert_eq!(resumes, resumed as u64, "{name} {mode:?}: resume taken/rejected wrongly");
+        }
+    }
+    base
+}
+
+/// A page of `Halt`s: whatever PC lands on it stops at once.
+fn halt_page() -> Vec<u8> {
+    Instr::Halt.encode().repeat((PAGE_SIZE / 8) as usize)
+}
+
+#[test]
+fn undisturbed_resume_is_taken_and_identical() {
+    // The control: nothing happens between the slices, in the caller's
+    // block and in the callee's.
+    for first_slice in [5, 18] {
+        let (ev, _, _, crossings, regs) =
+            assert_resume_identical("control", Entry::AplRead, first_slice, true, |_, _, _| {});
+        assert_eq!((ev, crossings, regs), (StepEvent::Halt, 1, [12, 12, 0]));
+    }
+}
+
+#[test]
+fn resume_sees_a_patch_of_the_unexecuted_tail() {
+    // (a) code epoch: instruction 10 of the block left at instruction 5 is
+    // rewritten between the slices; the patched instruction must execute.
+    let (ev, .., regs) =
+        assert_resume_identical("tail-patch", Entry::AplRead, 5, false, |_, m, _| {
+            let patched = Instr::Addi { rd: A2, rs1: A2, imm: 7 }.encode();
+            m.kwrite(Memory::GLOBAL_PT, CODE + 10 * 8, &patched).unwrap();
+        });
+    assert_eq!((ev, regs), (StepEvent::Halt, [11, 12, 7]));
+}
+
+#[test]
+fn resume_sees_unmap_remap_retag_and_reprotect_of_its_page() {
+    // (b) table generation. Remap: fresh frame, fresh code.
+    let (ev, _, _, crossings, regs) =
+        assert_resume_identical("remap", Entry::AplRead, 5, false, |_, m, _| {
+            let pt = Memory::GLOBAL_PT;
+            m.unmap(pt, CODE, 1);
+            m.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
+            m.kwrite(pt, CODE, &halt_page()).unwrap();
+        });
+    assert_eq!((ev, crossings, regs), (StepEvent::Halt, 0, [5, 0, 0]));
+    // Unmap: the next fetch faults.
+    let (ev, ..) = assert_resume_identical("unmap", Entry::AplRead, 5, false, |_, m, _| {
+        m.unmap(Memory::GLOBAL_PT, CODE, 1);
+    });
+    assert!(
+        matches!(ev, StepEvent::Fault(f) if f.pc == CODE + 40 && matches!(f.kind, FaultKind::Mem(MemFault::Unmapped { .. }))),
+        "{ev:?}"
+    );
+    // Re-tag: the page now belongs to a domain the thread has no grant to.
+    let (ev, ..) = assert_resume_identical("retag", Entry::AplRead, 5, false, |_, m, _| {
+        m.table_mut(Memory::GLOBAL_PT).set_tag(CODE, DomainTag(3));
+    });
+    assert!(
+        matches!(ev, StepEvent::Fault(f) if f.pc == CODE + 40 && matches!(f.kind, FaultKind::Codoms(_))),
+        "{ev:?}"
+    );
+    // Re-protect: execute permission is gone.
+    let (ev, ..) = assert_resume_identical("reprotect", Entry::AplRead, 5, false, |_, m, _| {
+        m.table_mut(Memory::GLOBAL_PT).protect(CODE, PageFlags::READ);
+    });
+    assert!(
+        matches!(ev, StepEvent::Fault(f) if f.pc == CODE + 40 && matches!(f.kind, FaultKind::Mem(MemFault::Protection { .. }))),
+        "{ev:?}"
+    );
+}
+
+#[test]
+fn resume_is_dropped_when_its_slot_was_refilled() {
+    // (c) fill sequence: between the slices the CPU runs thousands of
+    // other one-instruction blocks, which refill every cache way; back at
+    // the saved PC the resume point names a slot that now holds another
+    // block and must be ignored.
+    let (ev, _, _, crossings, regs) =
+        assert_resume_identical("refill", Entry::AplRead, 5, false, |cpu, m, rev| {
+            let saved = (cpu.pc, cpu.regs);
+            cpu.pc = SWEEP;
+            assert_eq!(run_to_event(cpu, m, rev), StepEvent::Halt, "sweep");
+            (cpu.pc, cpu.regs) = saved;
+        });
+    assert_eq!((ev, crossings, regs), (StepEvent::Halt, 1, [12, 12, 0]));
+}
+
+#[test]
+fn resume_is_dropped_on_a_context_switch() {
+    // (d) another thread at a different PC: the block's own entry.
+    let (ev, .., regs) =
+        assert_resume_identical("other-pc", Entry::AplRead, 5, false, |cpu, _, _| cpu.pc = CODE);
+    assert_eq!((ev, regs), (StepEvent::Halt, [17, 12, 0]));
+    // Another thread at the same PC under another page table, where that
+    // address holds other code.
+    let (ev, _, _, crossings, regs) =
+        assert_resume_identical("other-pt", Entry::AplRead, 5, false, |cpu, m, _| {
+            let pt2 = m.new_page_table();
+            m.map_anon(pt2, CODE, 1, PageFlags::RX, DomainTag(1));
+            m.kwrite(pt2, CODE, &halt_page()).unwrap();
+            cpu.active_pt = pt2;
+            cpu.itlb.flush();
+            cpu.dtlb.flush();
+        });
+    assert_eq!((ev, crossings, regs), (StepEvent::Halt, 0, [5, 0, 0]));
+}
+
+#[test]
+fn resumed_entry_from_another_domain_runs_the_full_check_at_the_real_pc() {
+    // (d) another thread at the same PC but in another domain. The first
+    // slice ends inside the callee's block (domain 2), whose cache way
+    // carries a crossing descriptor proven for the 1→2 edge at the
+    // gate-aligned entry `FAR`. A domain-1 thread scheduled at the
+    // mid-block PC resumes the (perfectly valid) block, but must not be
+    // waved through on that descriptor: domain 1 only holds `Call`, and
+    // the real PC is not a gate.
+    assert!(!(FAR + 40).is_multiple_of(codoms::ENTRY_ALIGN));
+    let (ev, ..) = assert_resume_identical("other-dom", Entry::AplCall, 18, true, |cpu, _, _| {
+        cpu.cur_dom = DomainTag(1)
+    });
+    match ev {
+        StepEvent::Fault(f) => {
+            assert_eq!(f.pc, FAR + 40);
+            assert!(
+                matches!(f.kind, FaultKind::Codoms(codoms::CheckError::BadEntryAlign { .. })),
+                "expected a gate-alignment fault, got {:?}",
+                f.kind
+            );
+        }
+        ev => panic!("mid-block entry from another domain was allowed: {ev:?}"),
+    }
+}
+
+#[test]
+fn resume_then_crossing_sees_the_revoked_capability() {
+    // (e) the capability that granted the (descriptor-cached) crossing is
+    // revoked between the slices: the resumed caller block finishes, and
+    // the chained crossing it ends in must be denied.
+    let (ev, _, _, crossings, regs) =
+        assert_resume_identical("revoke", Entry::SyncCap, 5, true, |_, _, rev| rev.revoke_all(1));
+    assert!(
+        matches!(ev, StepEvent::Fault(f) if f.pc == FAR && matches!(f.kind, FaultKind::Codoms(_))),
+        "{ev:?}"
+    );
+    assert_eq!((crossings, regs), (0, [12, 0, 0]));
+}

@@ -806,8 +806,8 @@ impl System {
             t.cur_pid = Pid(caller_pid);
             if matches!(t.state, ThreadState::Blocked(_)) {
                 t.state = ThreadState::Runnable;
-                let target = t.affinity.unwrap_or(t.last_cpu);
-                self.k.cpus[target].runq.push_back(tid);
+                let (target, ready_at) = (t.affinity.unwrap_or(t.last_cpu), t.ready_at);
+                self.k.enqueue(target, tid, ready_at);
             }
             self.unwinds += 1;
             simtrace::counter("unwinds", 1);

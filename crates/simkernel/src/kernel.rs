@@ -112,14 +112,26 @@ pub struct CpuSlot {
     pub cpu: Cpu,
     /// Thread currently on the CPU.
     pub current: Option<Tid>,
-    /// Local run queue.
-    pub runq: VecDeque<Tid>,
+    /// Local run queue. Private so that every edit goes through the
+    /// kernel's enqueue/dequeue helpers, which keep `runq_earliest` true.
+    runq: VecDeque<Tid>,
+    /// Earliest `ready_at` among the queued threads (`u64::MAX` when the
+    /// queue is empty): what the per-step CPU pick and every slice's
+    /// deadline need, without walking the queue through the thread map.
+    runq_earliest: u64,
     /// Time attribution.
     pub breakdown: TimeBreakdown,
     /// Cycle at which the current thread started its quantum.
     pub quantum_start: u64,
     /// Virtual address of this CPU's per-CPU page.
     pub percpu_base: u64,
+}
+
+impl CpuSlot {
+    /// The local run queue, front first.
+    pub fn runq(&self) -> &VecDeque<Tid> {
+        &self.runq
+    }
 }
 
 /// What [`Kernel::step_sim`] observed.
@@ -274,6 +286,7 @@ impl Kernel {
                 cpu,
                 current: None,
                 runq: VecDeque::new(),
+                runq_earliest: u64::MAX,
                 breakdown: TimeBreakdown::new(),
                 quantum_start: 0,
                 percpu_base: base,
@@ -510,16 +523,14 @@ impl Kernel {
         self.threads.insert(tid, thread);
         self.procs.get_mut(&pid).expect("checked").threads.push(tid);
         self.live_threads += 1;
-        self.cpus[cpu].runq.push_back(tid);
+        self.enqueue(cpu, tid, 0);
         tid
     }
 
     /// Pins a not-yet-run thread to a CPU, re-homing its run-queue entry.
     pub fn pin_thread(&mut self, tid: Tid, cpu: usize) {
         assert!(cpu < self.cpus.len(), "no such CPU");
-        for slot in &mut self.cpus {
-            slot.runq.retain(|t| *t != tid);
-        }
+        self.dequeue(tid);
         let t = self.threads.get_mut(&tid).expect("no such thread");
         assert!(
             matches!(t.state, ThreadState::Runnable),
@@ -527,7 +538,45 @@ impl Kernel {
         );
         t.affinity = Some(cpu);
         t.last_cpu = cpu;
-        self.cpus[cpu].runq.push_back(tid);
+        let ready_at = t.ready_at;
+        self.enqueue(cpu, tid, ready_at);
+    }
+
+    /// Appends runnable thread `tid` to CPU `cpu`'s run queue. `ready_at`
+    /// is the thread's `ready_at`, final before it is queued (the queue
+    /// caches its earliest entry); every caller has just written or read
+    /// it, which saves a thread-map lookup per wake.
+    pub fn enqueue(&mut self, cpu: usize, tid: Tid, ready_at: u64) {
+        debug_assert_eq!(ready_at, self.threads[&tid].ready_at);
+        let slot = &mut self.cpus[cpu];
+        slot.runq.push_back(tid);
+        slot.runq_earliest = slot.runq_earliest.min(ready_at);
+    }
+
+    /// Removes `tid` from whichever run queue holds it.
+    fn dequeue(&mut self, tid: Tid) {
+        for i in 0..self.cpus.len() {
+            while let Some(pos) = self.cpus[i].runq.iter().position(|t| *t == tid) {
+                self.dequeue_at(i, pos);
+            }
+        }
+    }
+
+    /// Removes and returns the thread at `pos` of CPU `cpu`'s run queue.
+    fn dequeue_at(&mut self, cpu: usize, pos: usize) -> Tid {
+        let tid = self.cpus[cpu].runq.remove(pos).expect("index valid");
+        // Only the removal of an earliest entry can move the minimum.
+        if self.cpus[cpu].runq.is_empty()
+            || self.threads[&tid].ready_at <= self.cpus[cpu].runq_earliest
+        {
+            self.cpus[cpu].runq_earliest = self.scan_runq_earliest(cpu);
+        }
+        tid
+    }
+
+    /// The definition `CpuSlot::runq_earliest` caches.
+    fn scan_runq_earliest(&self, cpu: usize) -> u64 {
+        self.cpus[cpu].runq.iter().map(|t| self.threads[t].ready_at).min().unwrap_or(u64::MAX)
     }
 
     /// Registers a file in the VFS with a storage class.
@@ -684,7 +733,10 @@ impl Kernel {
         if slot.current.is_some() {
             return Some(slot.cpu.cycles);
         }
-        slot.runq.iter().map(|t| self.threads[t].ready_at).min().map(|r| r.max(slot.cpu.cycles))
+        // Tier-1 runs this in debug builds: any path that edits a queued
+        // thread's `ready_at`, or the queue behind the helpers' back, trips it.
+        debug_assert_eq!(slot.runq_earliest, self.scan_runq_earliest(i));
+        (!slot.runq.is_empty()).then(|| slot.runq_earliest.max(slot.cpu.cycles))
     }
 
     fn process_event(&mut self) -> KStep {
@@ -755,7 +807,7 @@ impl Kernel {
         let preempt_bound = if self.cpus[i].cpu.cycles < quantum_end {
             quantum_end
         } else {
-            self.cpus[i].runq.iter().map(|t| self.threads[t].ready_at).min().unwrap_or(u64::MAX)
+            self.cpus[i].runq_earliest
         };
         let max_slice = self.cpus[i].cpu.cycles + self.sys.max_slice;
         // Causality window: never run further than `sync_window` ahead of
@@ -889,7 +941,7 @@ impl Kernel {
     }
 
     fn runq_has_ready(&self, i: usize, clock: u64) -> bool {
-        self.cpus[i].runq.iter().any(|t| self.threads[t].ready_at <= clock)
+        !self.cpus[i].runq.is_empty() && self.cpus[i].runq_earliest <= clock
     }
 
     /// Picks a `(victim cpu, runq position)` for CPU `i` to steal from:
@@ -900,7 +952,7 @@ impl Kernel {
     fn steal_candidate(&self, i: usize, clock: u64) -> Option<(usize, usize)> {
         let mut best: Option<(usize, usize, usize)> = None; // (load, cpu, pos)
         for j in 0..self.cpus.len() {
-            if j == i {
+            if j == i || !self.runq_has_ready(j, clock) {
                 continue;
             }
             let pos = self.cpus[j].runq.iter().position(|t| {
@@ -924,7 +976,7 @@ impl Kernel {
         let t = self.threads.get_mut(&tid).expect("exists");
         t.ready_at = clock;
         let target = t.affinity.unwrap_or(i);
-        self.cpus[target].runq.push_back(tid);
+        self.enqueue(target, tid, clock);
     }
 
     /// Saves the current thread's context and marks it `state`.
@@ -955,31 +1007,39 @@ impl Kernel {
         // empty-handed CPU next raids the most-loaded sibling runqueue for
         // a ready, unpinned thread; otherwise idle-advance to the earliest
         // local ready_at.
-        let mut pos = self.cpus[i].runq.iter().position(|t| self.threads[t].ready_at <= clock);
-        if pos.is_none() && self.steal {
+        let local = if self.runq_has_ready(i, clock) {
+            self.cpus[i].runq.iter().position(|t| self.threads[t].ready_at <= clock)
+        } else {
+            None
+        };
+        let mut stolen = None;
+        if local.is_none() && self.steal {
             if let Some((victim, vpos)) = self.steal_candidate(i, clock) {
                 // The remote-queue scan costs another scheduler pick.
                 self.charge(i, TimeCat::Sched, pick_cost);
-                let tid = self.cpus[victim].runq.remove(vpos).expect("index valid");
+                stolen = Some(self.dequeue_at(victim, vpos));
                 if simtrace::enabled() {
                     let now = self.cpus[i].cpu.cycles;
                     simtrace::instant(simtrace::Track::Cpu(i), now, "steal", "sched");
                     simtrace::counter("work_steals", 1);
                 }
-                self.cpus[i].runq.push_front(tid);
-                pos = Some(0);
             }
         }
-        let pos = pos.or_else(|| {
-            let min = self.cpus[i]
-                .runq
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, t)| self.threads[*t].ready_at)?;
-            Some(min.0)
-        });
-        let Some(pos) = pos else { return };
-        let tid = self.cpus[i].runq.remove(pos).expect("index valid");
+        let tid = match stolen {
+            Some(tid) => tid,
+            None => {
+                let pos = local.or_else(|| {
+                    let min = self.cpus[i]
+                        .runq
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, t)| self.threads[*t].ready_at)?;
+                    Some(min.0)
+                });
+                let Some(pos) = pos else { return };
+                self.dequeue_at(i, pos)
+            }
+        };
         let ready = self.threads[&tid].ready_at;
         if ready > clock {
             let idle = ready - clock;
@@ -1036,15 +1096,15 @@ impl Kernel {
     /// Makes a blocked thread runnable and routes it to a CPU, sending an
     /// IPI if the target CPU is idle and remote.
     fn make_runnable(&mut self, tid: Tid, at: u64) {
-        let (target, was_blocked) = {
+        let (target, ready_at, was_blocked) = {
             let t = self.threads.get_mut(&tid).expect("no such thread");
             let was_blocked = matches!(t.state, ThreadState::Blocked(_));
             t.state = ThreadState::Runnable;
             t.ready_at = t.ready_at.max(at);
-            (t.affinity.unwrap_or(t.last_cpu), was_blocked)
+            (t.affinity.unwrap_or(t.last_cpu), t.ready_at, was_blocked)
         };
         debug_assert!(was_blocked, "make_runnable on non-blocked thread");
-        self.cpus[target].runq.push_back(tid);
+        self.enqueue(target, tid, ready_at);
     }
 
     /// Wakes `tid` from CPU `from` (futex wake, pipe data, …).
@@ -1096,7 +1156,8 @@ impl Kernel {
             let t = self.threads.get_mut(&tid).expect("exists");
             t.ready_at = t.ready_at.max(arrive);
             t.state = ThreadState::Runnable;
-            self.cpus[target].runq.push_back(tid);
+            let ready_at = t.ready_at;
+            self.enqueue(target, tid, ready_at);
         } else {
             self.make_runnable(tid, now);
         }
@@ -1133,9 +1194,7 @@ impl Kernel {
                     self.mark_dead(tid);
                 }
                 ThreadState::Runnable => {
-                    for slot in &mut self.cpus {
-                        slot.runq.retain(|t| *t != tid);
-                    }
+                    self.dequeue(tid);
                     self.mark_dead(tid);
                 }
                 ThreadState::Blocked(_) => self.mark_dead(tid),
@@ -1163,11 +1222,7 @@ impl Kernel {
         match t.state {
             ThreadState::Dead => return,
             ThreadState::Running(cpu) => self.cpus[cpu].current = None,
-            ThreadState::Runnable => {
-                for slot in &mut self.cpus {
-                    slot.runq.retain(|x| *x != tid);
-                }
-            }
+            ThreadState::Runnable => self.dequeue(tid),
             ThreadState::Blocked(_) => {}
         }
         self.mark_dead(tid);
@@ -1676,10 +1731,16 @@ impl Kernel {
                 Some(w) if !w.is_empty() => w.remove(0),
                 _ => break,
             };
-            if self.wake_if_blocked(next, BlockReason::Futex(key), 0) {
-                let t = self.threads.get_mut(&next).expect("woken thread exists");
-                t.ready_at = t.ready_at.max(at);
-                woken += 1;
+            // The floor goes in before the wake queues the thread (the run
+            // queue caches its earliest `ready_at`); the wake itself only
+            // ever raises `ready_at`, so the order does not change the value.
+            match self.threads.get_mut(&next) {
+                Some(t) if t.state == ThreadState::Blocked(BlockReason::Futex(key)) => {
+                    t.ready_at = t.ready_at.max(at);
+                    self.wake_from_cpu(next, 0);
+                    woken += 1;
+                }
+                _ => {}
             }
         }
         woken
@@ -1994,9 +2055,7 @@ impl Kernel {
         }
         // Remove from whichever runqueue holds it (it may have been made
         // runnable by an earlier wake).
-        for slot in &mut self.cpus {
-            slot.runq.retain(|t| *t != tid);
-        }
+        self.dequeue(tid);
         let c = self.sys.ctx_restore;
         self.charge(i, TimeCat::Sched, c);
         let (ctx, kcs_top, kcs_base, kcs_limit, proc_cache, cur_pid) = {

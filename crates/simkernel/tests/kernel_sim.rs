@@ -236,17 +236,9 @@ fn futex_ping_pong_cross_cpu_uses_ipi() {
     let img = k.load_program(pid, &build_futex_pingpong(iters, "fa", "fb"), &externs);
     let t_a = k.spawn_thread(pid, img.base, &[]);
     let t_b = k.spawn_thread(pid, img.addr("thread_b"), &[]);
-    // Pin to different CPUs.
-    k.threads.get_mut(&t_a).unwrap().affinity = Some(0);
-    k.threads.get_mut(&t_a).unwrap().last_cpu = 0;
-    k.threads.get_mut(&t_b).unwrap().affinity = Some(1);
-    k.threads.get_mut(&t_b).unwrap().last_cpu = 1;
-    // Re-home the run queues according to affinity.
-    for slot in &mut k.cpus {
-        slot.runq.clear();
-    }
-    k.cpus[0].runq.push_back(t_a);
-    k.cpus[1].runq.push_back(t_b);
+    // Pin to different CPUs (re-homes the run-queue entries).
+    k.pin_thread(t_a, 0);
+    k.pin_thread(t_b, 1);
     k.run_to_completion();
     assert_eq!(k.threads[&t_a].exit_code, 1);
     assert_eq!(k.threads[&t_b].exit_code, 2);
@@ -270,23 +262,8 @@ fn cross_cpu_slower_than_same_cpu() {
         let img = k.load_program(pid, &build_futex_pingpong(iters, "fa", "fb"), &externs);
         let t_a = k.spawn_thread(pid, img.base, &[]);
         let t_b = k.spawn_thread(pid, img.addr("thread_b"), &[]);
-        if pin {
-            k.threads.get_mut(&t_a).unwrap().affinity = Some(0);
-            k.threads.get_mut(&t_b).unwrap().affinity = Some(1);
-            for slot in &mut k.cpus {
-                slot.runq.clear();
-            }
-            k.cpus[0].runq.push_back(t_a);
-            k.cpus[1].runq.push_back(t_b);
-        } else {
-            k.threads.get_mut(&t_a).unwrap().affinity = Some(0);
-            k.threads.get_mut(&t_b).unwrap().affinity = Some(0);
-            for slot in &mut k.cpus {
-                slot.runq.clear();
-            }
-            k.cpus[0].runq.push_back(t_a);
-            k.cpus[0].runq.push_back(t_b);
-        }
+        k.pin_thread(t_a, 0);
+        k.pin_thread(t_b, if pin { 1 } else { 0 });
         k.run_to_completion();
         k.cost.ns(k.now_max()) / iters as f64
     };
