@@ -1,119 +1,18 @@
-//! SMP scaling: host-parallel simulation speed and simulated OLTP
-//! throughput versus core count.
+//! SMP scaling: simulated OLTP throughput versus core count.
 //!
-//! Two sweeps, both over 1→8 simulated CPUs:
-//!
-//! * **Host MIPS** — a [`cdvm::Machine`] runs one independent compute
-//!   kernel per CPU in the barrier-quantum schedule, measured wall-clock
-//!   with `SMP_HOST_THREADS` forced to 1 and to the CPU count. The
-//!   simulated result is bit-identical in both modes (enforced by
-//!   `tests/smp_determinism.rs`); only host time changes. Acceptance
-//!   floor: ≥ 1.5x at 4 CPUs.
-//! * **OLTP ops/min** — the Figure 8 stacks (Linux / dIPC / Ideal) built
-//!   with `cores` = 1, 2, 4, 8, showing how each configuration scales its
-//!   service threads across simulated cores (with kernel work stealing
-//!   on).
+//! The Figure 8 stacks (Linux / dIPC / Ideal) built with `cores` = 1, 2,
+//! 4, 8, showing how each configuration scales its service threads across
+//! simulated cores on the kernel's per-core run queues (with work
+//! stealing on).
 //!
 //! Emits `results/BENCH_smpscale.json`.
 
-use std::time::Instant;
-
-use cdvm::isa::reg::*;
-use cdvm::{Asm, CostModel, Instr, Machine};
-use codoms::cap::RevocationTable;
 use oltp::{dipc_stack, ideal_stack, linux_stack, OltpParams, StorageKind};
-use simmem::{DomainTag, Memory, PageFlags, PAGE_SIZE};
-
-const CODE: u64 = 0x10_000;
-const DATA: u64 = 0x100_000;
-
-/// Per-CPU compute kernel: arithmetic plus a store/load pair into the
-/// CPU's private data page, so the shadow-memory write path is on the
-/// measured path (not just read-only snapshot execution).
-fn kernel_code() -> Vec<u8> {
-    let mut a = Asm::new();
-    a.li(T0, 0);
-    a.label("loop");
-    a.push(Instr::Addi { rd: T0, rs1: T0, imm: 1 });
-    a.push(Instr::Xor { rd: T1, rs1: T0, rs2: T0 });
-    a.push(Instr::Add { rd: T1, rs1: T1, rs2: T0 });
-    a.push(Instr::St { rs1: S0, rs2: T0, imm: 0 });
-    a.push(Instr::Ld { rd: T2, rs1: S0, imm: 0 });
-    a.j("loop");
-    a.finish().bytes
-}
-
-/// Builds an `n`-CPU machine: one shared code page, one private data page
-/// per CPU.
-fn build(n: usize) -> Machine {
-    let mut mem = Memory::new();
-    let pt = Memory::GLOBAL_PT;
-    mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-    mem.kwrite(pt, CODE, &kernel_code()).unwrap();
-    mem.map_anon(pt, DATA, n as u64, PageFlags::RW, DomainTag(1));
-    let mut m = Machine::new(n, mem, CostModel::default());
-    for (i, cpu) in m.cpus.iter_mut().enumerate() {
-        cpu.pc = CODE;
-        cpu.cur_dom = DomainTag(1);
-        cpu.thread = 1 + i as u64;
-        cpu.regs[S0 as usize] = DATA + i as u64 * PAGE_SIZE;
-    }
-    m
-}
-
-/// Runs `quanta` barrier quanta on a fresh `n`-CPU machine with `threads`
-/// host workers; returns (host MIPS, total retired, final revocation-table
-/// fingerprint input = total cycles).
-fn measure(n: usize, threads: usize, quanta: u64) -> (f64, u64, u64) {
-    let mut m = build(n);
-    m.set_host_threads(threads);
-    let _ = RevocationTable::new(); // the machine owns its own table
-                                    // Warm up one quantum (faults frames in, fills icaches).
-    m.step_quantum();
-    let warm = m.total_retired();
-    let start = Instant::now();
-    for _ in 0..quanta {
-        m.step_quantum();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let retired = m.total_retired() - warm;
-    let cycles: u64 = m.cpus.iter().map(|c| c.cycles).sum();
-    (retired as f64 / 1e6 / secs.max(1e-9), retired, cycles)
-}
 
 fn main() {
-    bench::banner("smpscale - SMP host-parallel speed and OLTP core scaling");
+    bench::banner("smpscale - OLTP core scaling");
     let scale = bench::scale();
-    let quanta = 20 * scale;
     let cores = [1usize, 2, 4, 8];
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    println!("host cores: {host_cpus}");
-    if host_cpus < 2 {
-        println!("note: single-core host — wall-clock speedup is bounded at 1.0x;");
-        println!("      the determinism assertions below still exercise the full");
-        println!("      shadow/merge machinery under every thread count.");
-    }
-    println!("--- host MIPS (wall clock), {quanta} quanta/run ---");
-    println!("{:>5} {:>12} {:>12} {:>8}", "cpus", "1 thread", "N threads", "speedup");
-    let mut mips_rows = Vec::new();
-    let mut speedup_at_4 = 0.0;
-    for &n in &cores {
-        let (seq, r1, c1) = measure(n, 1, quanta);
-        let (par, r2, c2) = measure(n, n, quanta);
-        assert_eq!((r1, c1), (r2, c2), "simulated results must not depend on host thread count");
-        let speedup = par / seq;
-        if n == 4 {
-            speedup_at_4 = speedup;
-        }
-        println!("{n:>5} {seq:>12.2} {par:>12.2} {speedup:>7.2}x");
-        mips_rows.push((n, seq, par, speedup));
-    }
-    println!(
-        "speedup at 4 CPUs: {speedup_at_4:.2}x (acceptance floor: 1.50x on a \
-         multi-core host)\n"
-    );
-
     println!("--- OLTP ops/min vs simulated cores (in-memory DB, work stealing on) ---");
     println!("{:>5} {:>10} {:>10} {:>10}", "cores", "Linux", "dIPC", "Ideal");
     let conc = 16;
@@ -132,15 +31,6 @@ fn main() {
         oltp_rows.push((n, rl.ops_per_min, rd.ops_per_min, ri.ops_per_min));
     }
 
-    let mips_json: Vec<String> = mips_rows
-        .iter()
-        .map(|(n, seq, par, sp)| {
-            format!(
-                "    {{\"cpus\": {n}, \"mips_1_thread\": {seq:.3}, \
-                 \"mips_n_threads\": {par:.3}, \"speedup\": {sp:.3}}}"
-            )
-        })
-        .collect();
     let oltp_json: Vec<String> = oltp_rows
         .iter()
         .map(|(n, l, d, i)| {
@@ -152,10 +42,7 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"smpscale\",\n  \"scale\": {scale},\n  \
-         \"host_cpus\": {host_cpus},\n  \
-         \"quanta_per_run\": {quanta},\n  \"speedup_at_4_cpus\": {speedup_at_4:.3},\n  \
-         \"host_mips\": [\n{}\n  ],\n  \"oltp_scaling\": [\n{}\n  ]\n}}\n",
-        mips_json.join(",\n"),
+         \"oltp_scaling\": [\n{}\n  ]\n}}\n",
         oltp_json.join(",\n")
     );
     std::fs::create_dir_all("results").expect("create results/");

@@ -17,7 +17,7 @@ use codoms::check::{AccessDecision, CheckError, Checker};
 use codoms::dcs::{Dcs, DcsError};
 use codoms::{AplCache, Perm};
 use simmem::page::{page_align_down, page_offset, vpn, Access};
-use simmem::{Bus, DomainTag, MemFault, Memory, PageFlags, PageTableId, Pte, Tlb, PAGE_SIZE};
+use simmem::{DomainTag, MemFault, Memory, PageFlags, PageTableId, Pte, Tlb, PAGE_SIZE};
 
 use crate::blocks::{BlockCache, BlockEnd, BlockStats, CrossDesc, CrossGrant, CrossProbe};
 use crate::cost::CostModel;
@@ -289,6 +289,7 @@ impl Cpu {
     /// `host.*` simtrace counters (these appear only in the metrics
     /// summary, never in the Chrome/folded trace streams). Called at the
     /// end of every [`Cpu::run`].
+    #[inline]
     fn sync_cache_stats(&mut self) {
         let now = self.host_cache_stats();
         self.exec_stats.caches = now;
@@ -339,13 +340,12 @@ impl Cpu {
 
     /// Runs until an event or until `self.cycles >= deadline`.
     ///
-    /// Generic over [`Bus`]: the kernel event loop and single-CPU execution
-    /// pass the machine's [`Memory`] directly; the SMP quantum engine passes
-    /// a per-CPU [`simmem::ShadowMem`] so CPUs can execute concurrently on
-    /// host threads and merge their writes at the barrier.
-    pub fn run<M: Bus>(
+    /// Entered once per kernel slice (≈55 instructions on `prod`), so this
+    /// wrapper and its two helpers inline into the caller's crate.
+    #[inline]
+    pub fn run(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         deadline: u64,
@@ -361,9 +361,9 @@ impl Cpu {
     }
 
     /// The per-instruction run loop (used when the block engine is off).
-    fn run_interp<M: Bus>(
+    fn run_interp(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         deadline: u64,
@@ -385,9 +385,10 @@ impl Cpu {
     /// chain to the statically known successor while the budget holds. A
     /// PC no block can cover (misaligned, unmapped, step-only) goes to the
     /// interpreter for exactly one instruction and re-dispatches.
-    fn run_blocks<M: Bus>(
+    #[inline]
+    fn run_blocks(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         deadline: u64,
@@ -401,10 +402,10 @@ impl Cpu {
         exit
     }
 
-    fn run_blocks_detached<M: Bus>(
+    fn run_blocks_detached(
         &mut self,
         bcache: &mut BlockCache,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         deadline: u64,
@@ -480,10 +481,10 @@ impl Cpu {
     /// validated against the live table generation and code epoch, with
     /// formation (and `mark_code` of the backing frame, so later writes
     /// bump the epoch) on miss. `None` when no block can exist at this PC.
-    fn lookup_or_form<M: Bus>(
+    fn lookup_or_form(
         &mut self,
         bcache: &mut BlockCache,
-        mem: &mut M,
+        mem: &mut Memory,
         cost: &CostModel,
     ) -> Option<usize> {
         let pc = self.pc;
@@ -497,9 +498,9 @@ impl Cpu {
             return Some(found);
         }
         let pte = mem.translate(pt, pc, Access::Exec).ok()?;
-        let slot =
-            bcache.fill(pt, pc, table_gen, code_epoch, pte, mem.frame_bytes(pte.frame), cost);
-        mem.mark_code(pte.frame);
+        let page = mem.phys().frame_bytes(pte.frame);
+        let slot = bcache.fill(pt, pc, table_gen, code_epoch, pte, page, cost);
+        mem.phys_mut().mark_code(pte.frame);
         Some(slot)
     }
 
@@ -509,11 +510,11 @@ impl Cpu {
     /// taken/fall-through) chain unconditionally; indirect ends chain
     /// through a last-target inline cache. Every chained entry revalidates
     /// the target against the current generation and epoch.
-    fn next_chained<M: Bus>(
+    fn next_chained(
         &mut self,
         bcache: &mut BlockCache,
         slot: usize,
-        mem: &mut M,
+        mem: &mut Memory,
         cost: &CostModel,
     ) -> Option<usize> {
         let pc = self.pc;
@@ -566,13 +567,13 @@ impl Cpu {
     /// before every instruction after the first, as the interpreter does.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn exec_block<M: Bus>(
+    fn exec_block(
         &mut self,
         bcache: &mut BlockCache,
         slot: usize,
         from: usize,
         budget: Option<u64>,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         retired: &mut u64,
@@ -715,7 +716,7 @@ impl Cpu {
             let ev = match bi.instr {
                 Instr::Ld { rd, rs1, imm } => {
                     self.cycles += cost.base;
-                    match self.op_ld::<M, true>(mem, rev, cost, rd, rs1, imm, &mut dmemo) {
+                    match self.op_ld::<true>(mem, rev, cost, rd, rs1, imm, &mut dmemo) {
                         Ok(()) => {
                             self.pc = self.pc.wrapping_add(INSTR_BYTES);
                             StepEvent::Retired
@@ -725,7 +726,7 @@ impl Cpu {
                 }
                 Instr::St { rs1, rs2, imm } => {
                     self.cycles += cost.base;
-                    match self.op_st::<M, true>(mem, rev, cost, rs1, rs2, imm, &mut dmemo) {
+                    match self.op_st::<true>(mem, rev, cost, rs1, rs2, imm, &mut dmemo) {
                         Ok(()) => {
                             self.pc = self.pc.wrapping_add(INSTR_BYTES);
                             StepEvent::Retired
@@ -778,13 +779,13 @@ impl Cpu {
     /// plumbing (in line it cost 4–10 % on long-slice dIPC call loops).
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
-    fn exec_block_tail<M: Bus>(
+    fn exec_block_tail(
         &mut self,
         bcache: &mut BlockCache,
         slot: usize,
         from: usize,
         budget: Option<u64>,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         retired: &mut u64,
@@ -832,9 +833,9 @@ impl Cpu {
     }
 
     /// Executes a single instruction.
-    pub fn step<M: Bus>(
+    pub fn step(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
     ) -> StepEvent {
@@ -934,7 +935,7 @@ impl Cpu {
                     // miss path just translated instead of walking the
                     // page table a second time through `kread`.
                     let off = page_offset(pc) as usize;
-                    bytes.copy_from_slice(&mem.frame_bytes(pte.frame)[off..off + 8]);
+                    bytes.copy_from_slice(&mem.phys().frame_bytes(pte.frame)[off..off + 8]);
                 } else if mem.kread(self.active_pt, pc, &mut bytes).is_err() {
                     return self.fault(FaultKind::Mem(MemFault::Unmapped { addr: pc }));
                 }
@@ -981,18 +982,19 @@ impl Cpu {
     /// its frame as code so later writes to it bump the global code epoch.
     /// (`mark_code` itself does not bump the epoch, so the snapshot taken
     /// here stays valid until the frame is actually written or freed.)
-    fn fill_icache<M: Bus>(&mut self, mem: &mut M, pte: Pte, pc: u64) {
+    fn fill_icache(&mut self, mem: &mut Memory, pte: Pte, pc: u64) {
         let pt = self.active_pt;
         let table_gen = mem.table_generation(pt);
         let code_epoch = mem.code_epoch();
-        self.icache.fill(pt, vpn(pc), table_gen, code_epoch, pte, mem.frame_bytes(pte.frame));
-        mem.mark_code(pte.frame);
+        let page = mem.phys().frame_bytes(pte.frame);
+        self.icache.fill(pt, vpn(pc), table_gen, code_epoch, pte, page);
+        mem.phys_mut().mark_code(pte.frame);
     }
 
-    pub(crate) fn execute<M: Bus>(
+    pub(crate) fn execute(
         &mut self,
         instr: Instr,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
     ) -> StepEvent {
@@ -1043,7 +1045,7 @@ impl Cpu {
             Srli { rd, rs1, imm } => self.set_reg(rd, self.reg(rs1) >> (imm as u32 & 63)),
 
             Ld { rd, rs1, imm } => {
-                if let Err(ev) = self.op_ld::<M, false>(mem, rev, cost, rd, rs1, imm, &mut None) {
+                if let Err(ev) = self.op_ld::<false>(mem, rev, cost, rd, rs1, imm, &mut None) {
                     return ev;
                 }
             }
@@ -1055,8 +1057,8 @@ impl Cpu {
                 match self.dcache_hit(mem, cost, addr, 8, true) {
                     Some((pte, ..)) => {
                         let off = page_offset(addr);
-                        let old = mem.frame_read_u64(pte.frame, off);
-                        mem.frame_write_u64(pte.frame, off, old.wrapping_add(self.reg(rs2)));
+                        let old = mem.phys().read_u64(pte.frame, off);
+                        mem.phys_mut().write_u64(pte.frame, off, old.wrapping_add(self.reg(rs2)));
                         self.set_reg(rd, old);
                     }
                     None => match self.data_access(mem, rev, cost, addr, 8, true) {
@@ -1072,7 +1074,7 @@ impl Cpu {
                 }
             }
             St { rs1, rs2, imm } => {
-                if let Err(ev) = self.op_st::<M, false>(mem, rev, cost, rs1, rs2, imm, &mut None) {
+                if let Err(ev) = self.op_st::<false>(mem, rev, cost, rs1, rs2, imm, &mut None) {
                     return ev;
                 }
             }
@@ -1080,7 +1082,7 @@ impl Cpu {
                 let addr = self.reg(rs1).wrapping_add(imm as i64 as u64);
                 match self.dcache_hit(mem, cost, addr, 1, false) {
                     Some((pte, ..)) => {
-                        let b = mem.frame_read_byte(pte.frame, page_offset(addr));
+                        let b = mem.phys().frame_bytes(pte.frame)[page_offset(addr) as usize];
                         self.set_reg(rd, b as u64);
                     }
                     None => match self.data_access(mem, rev, cost, addr, 1, false) {
@@ -1097,10 +1099,10 @@ impl Cpu {
             Stb { rs1, rs2, imm } => {
                 let addr = self.reg(rs1).wrapping_add(imm as i64 as u64);
                 match self.dcache_hit(mem, cost, addr, 1, true) {
-                    Some((pte, ..)) => mem.frame_write_byte(
+                    Some((pte, ..)) => mem.phys_mut().write(
                         pte.frame,
                         page_offset(addr),
-                        (self.reg(rs2) & 0xff) as u8,
+                        &[(self.reg(rs2) & 0xff) as u8],
                     ),
                     None => match self.data_access(mem, rev, cost, addr, 1, true) {
                         Ok(()) => {
@@ -1402,9 +1404,9 @@ impl Cpu {
     /// and the memo plumbing compiles out.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn op_ld<M: Bus, const MEMO: bool>(
+    fn op_ld<const MEMO: bool>(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         rd: u8,
@@ -1417,7 +1419,7 @@ impl Cpu {
             if let Some(m) = memo {
                 if m.vpn == vpn(addr) && m.read_ok && page_offset(addr) <= PAGE_SIZE - 8 {
                     self.dmemo_replay(cost, addr, m.grant);
-                    let v = mem.frame_read_u64(m.pte.frame, page_offset(addr));
+                    let v = mem.phys().read_u64(m.pte.frame, page_offset(addr));
                     self.set_reg(rd, v);
                     return Ok(());
                 }
@@ -1428,7 +1430,7 @@ impl Cpu {
                 if MEMO {
                     *memo = Some(DMemo { vpn: vpn(addr), pte, grant, read_ok, write_ok });
                 }
-                let v = mem.frame_read_u64(pte.frame, page_offset(addr));
+                let v = mem.phys().read_u64(pte.frame, page_offset(addr));
                 self.set_reg(rd, v);
             }
             None => match self.data_access(mem, rev, cost, addr, 8, false) {
@@ -1451,9 +1453,9 @@ impl Cpu {
     /// The `St` operation body; see [`Cpu::op_ld`] for the contract.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn op_st<M: Bus, const MEMO: bool>(
+    fn op_st<const MEMO: bool>(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         rs1: u8,
@@ -1466,7 +1468,7 @@ impl Cpu {
             if let Some(m) = memo {
                 if m.vpn == vpn(addr) && m.write_ok && page_offset(addr) <= PAGE_SIZE - 8 {
                     self.dmemo_replay(cost, addr, m.grant);
-                    mem.frame_write_u64(m.pte.frame, page_offset(addr), self.reg(rs2));
+                    mem.phys_mut().write_u64(m.pte.frame, page_offset(addr), self.reg(rs2));
                     return Ok(());
                 }
             }
@@ -1476,7 +1478,7 @@ impl Cpu {
                 if MEMO {
                     *memo = Some(DMemo { vpn: vpn(addr), pte, grant, read_ok, write_ok });
                 }
-                mem.frame_write_u64(pte.frame, page_offset(addr), self.reg(rs2))
+                mem.phys_mut().write_u64(pte.frame, page_offset(addr), self.reg(rs2))
             }
             None => match self.data_access(mem, rev, cost, addr, 8, true) {
                 Ok(()) => {
@@ -1519,9 +1521,9 @@ impl Cpu {
     /// bytes frame-direct. `None` when the access must take the full
     /// [`Cpu::data_access`] walk (straddle, cold, or any guard mismatch).
     #[inline]
-    fn dcache_hit<M: Bus>(
+    fn dcache_hit(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         cost: &CostModel,
         addr: u64,
         size: u64,
@@ -1556,9 +1558,9 @@ impl Cpu {
     /// accesses are never cached (byte-ranged and revocation-sensitive);
     /// capability-storage pages cannot reach here (the tamper fault
     /// already fired).
-    fn dcache_fill<M: Bus>(
+    fn dcache_fill(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         addr: u64,
         size: u64,
     ) -> Option<(Pte, DGrant, bool, bool)> {
@@ -1603,9 +1605,9 @@ impl Cpu {
 
     /// Full check for a plain data access: conventional page bits, the
     /// capability-storage tamper rule, and the CODOMs domain check.
-    fn data_access<M: Bus>(
+    fn data_access(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         rev: &RevocationTable,
         cost: &CostModel,
         addr: u64,
@@ -1662,9 +1664,9 @@ impl Cpu {
 
     /// CODOMs-only check (used by CapLd/CapSt, which are allowed to touch
     /// capability-storage pages).
-    fn codoms_check<M: Bus>(
+    fn codoms_check(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         rev: &RevocationTable,
         _cost: &CostModel,
         addr: u64,
@@ -1699,7 +1701,7 @@ impl Cpu {
     /// Verifies that `addr` is on a mapped capability-storage page (with
     /// write permission if `write`). DCS traffic uses this (the DCS bounds
     /// registers are the authority, so no CODOMs check).
-    fn capstore_page<M: Bus>(&self, mem: &M, addr: u64, write: bool) -> Result<(), StepEvent> {
+    fn capstore_page(&self, mem: &Memory, addr: u64, write: bool) -> Result<(), StepEvent> {
         let access = if write { Access::Write } else { Access::Read };
         let pte = match mem.translate(self.active_pt, addr, access) {
             Ok(p) => p,
@@ -1711,9 +1713,9 @@ impl Cpu {
         Ok(())
     }
 
-    fn cap_apl_take<M: Bus>(
+    fn cap_apl_take(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         rev: &RevocationTable,
         base: u64,
         len: u64,

@@ -31,10 +31,6 @@
 //! * [`dcache`] — the per-CPU memory-operand translation cache: repeated
 //!   same-page loads/stores skip the full page walk and CODOMs data check
 //!   (shares the `CDVM_NO_XBLOCKS=1` kill switch).
-//! * [`machine`] — the deterministic SMP machine: N CPUs in a
-//!   barrier-synchronised quantum schedule, executed host-parallel on a
-//!   worker pool (`SMP_HOST_THREADS`) with bit-identical results for any
-//!   thread count.
 
 pub mod asm;
 pub mod blocks;
@@ -44,7 +40,6 @@ pub mod dcache;
 pub mod disasm;
 pub mod icache;
 pub mod isa;
-pub mod machine;
 pub mod stats;
 pub mod threaded;
 
@@ -54,5 +49,4 @@ pub use cost::{CostModel, MachineConfig};
 pub use cpu::{Cpu, Fault, FaultKind, RunExit, StepEvent};
 pub use icache::InstrCache;
 pub use isa::{reg, CapReg, Instr, Reg, INSTR_BYTES};
-pub use machine::{quantum_cycles, Machine, DEFAULT_QUANTUM};
 pub use stats::{ExecStats, HostCacheStats, InstrClass, TraceRing};

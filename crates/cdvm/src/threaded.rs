@@ -8,7 +8,7 @@
 //! * it always retires (no fault, event or APL-miss path);
 //! * it is unprivileged (the block-loop privilege check is a no-op);
 //! * it never writes simulated memory (the post-instruction code-epoch
-//!   re-check is a no-op, and no `Bus` access happens at all);
+//!   re-check is a no-op, and no memory access happens at all);
 //! * its cycle charge is a static function of the instruction.
 //!
 //! [`classify`] maps such instructions to an index into [`HANDLERS`], a

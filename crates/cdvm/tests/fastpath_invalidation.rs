@@ -219,14 +219,65 @@ fn misaligned_fetch_cannot_spill_into_foreign_domain() {
 }
 
 // ---------------------------------------------------------------------
-// Cross-CPU invalidation under the SMP quantum engine: one CPU's code
-// mutation must be visible to every other CPU at the next barrier, for
-// any host thread count.
+// Cross-CPU invalidation on the SMP model that ships: two CPUs share one
+// `Memory` and one `RevocationTable` and are time-sliced alternately, as
+// `simkernel::Kernel::run_cpu` does. One CPU's code mutation must be
+// visible to the other CPU's very next slice.
 // ---------------------------------------------------------------------
 
-use cdvm::Machine;
-
 const CODE2: u64 = 0x50_000;
+
+/// Two CPUs (threads 1 and 2, domain 1) over shared memory.
+struct Smp {
+    cpus: [Cpu; 2],
+    mem: Memory,
+    rev: RevocationTable,
+    cost: CostModel,
+    halted: [bool; 2],
+}
+
+impl Smp {
+    fn new(mem: Memory, pcs: [u64; 2]) -> Smp {
+        let cpus = [0, 1].map(|i| {
+            let mut cpu = Cpu::new(i);
+            cpu.pc = pcs[i];
+            cpu.cur_dom = DomainTag(1);
+            cpu.thread = 1 + i as u64;
+            cpu
+        });
+        Smp {
+            cpus,
+            mem,
+            rev: RevocationTable::new(),
+            cost: CostModel::default(),
+            halted: [false; 2],
+        }
+    }
+
+    /// Gives each live CPU one 2 000-cycle slice, CPU 0 first.
+    fn round(&mut self) {
+        for (cpu, halted) in self.cpus.iter_mut().zip(&mut self.halted) {
+            if !*halted {
+                let exit = cpu.run(&mut self.mem, &mut self.rev, &self.cost, cpu.cycles + 2_000);
+                *halted = exit.event == StepEvent::Halt;
+            }
+        }
+    }
+
+    fn all_halted(&self) -> bool {
+        self.halted == [true; 2]
+    }
+
+    /// Rounds until both CPUs halt (at most `max`); returns the count.
+    fn run_to_halt(&mut self, max: u64) -> u64 {
+        let mut rounds = 0;
+        while !self.all_halted() && rounds < max {
+            self.round();
+            rounds += 1;
+        }
+        rounds
+    }
+}
 
 /// Encodes a single instruction to its 8 bytes.
 fn encode(i: Instr) -> [u8; 8] {
@@ -235,119 +286,103 @@ fn encode(i: Instr) -> [u8; 8] {
     a.finish().bytes[..8].try_into().unwrap()
 }
 
+/// CPU 1's program at `CODE2`: overwrite the instruction at `CODE` with
+/// `Movi a0, 2`, then halt.
+fn patcher() -> Vec<u8> {
+    let patched = u64::from_le_bytes(encode(Instr::Movi { rd: A0, imm: 2 }));
+    let mut a = Asm::new();
+    a.li(T1, patched);
+    a.li(T2, CODE);
+    a.push(Instr::St { rs1: T2, rs2: T1, imm: 0 });
+    a.push(Instr::Halt);
+    a.finish().bytes
+}
+
+/// The cross-CPU patch world: at `CODE` a loop that spins until its first
+/// instruction (the patch site) yields `a0 == 2`; at `CODE2` the
+/// [`patcher`].
+fn patch_world() -> Memory {
+    let mut a = Asm::new();
+    a.label("loop");
+    a.push(Instr::Movi { rd: A0, imm: 1 }); // patch site (CODE + 0)
+    a.li(T0, 2);
+    a.beq(A0, T0, "done");
+    a.j("loop");
+    a.label("done");
+    a.push(Instr::Halt);
+    let spin = a.finish().bytes;
+
+    let mut mem = Memory::new();
+    let pt = Memory::GLOBAL_PT;
+    mem.map_anon(pt, CODE, 1, PageFlags::RWX, DomainTag(1));
+    mem.kwrite(pt, CODE, &spin).unwrap();
+    mem.map_anon(pt, CODE2, 1, PageFlags::RX, DomainTag(1));
+    mem.kwrite(pt, CODE2, &patcher()).unwrap();
+    mem
+}
+
 #[test]
 fn cross_cpu_code_patch_invalidates_peer_icache_at_barrier() {
     // CPU 1 patches an instruction CPU 0 is executing in a hot loop
-    // (dIPC-style run-time proxy patching, but from another CPU). The
-    // store is buffered in CPU 1's shadow during the quantum, applied at
-    // the barrier, and — because CPU 0's predecode marked the frame as
-    // code — bumps the code epoch, forcing CPU 0's decoded block and
-    // translation to revalidate before its next quantum.
+    // (dIPC-style run-time proxy patching, but from another CPU). CPU 0's
+    // predecode marked the frame as code, so the store bumps the code
+    // epoch, forcing CPU 0's decoded block and translation to revalidate
+    // in its next slice.
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for threads in [1usize, 2] {
-        // CPU 0: spin until the patch site yields a0 == 2.
-        let mut a = Asm::new();
-        a.label("loop");
-        a.push(Instr::Movi { rd: A0, imm: 1 }); // patch site (CODE + 0)
-        a.li(T0, 2);
-        a.beq(A0, T0, "done");
-        a.j("loop");
-        a.label("done");
-        a.push(Instr::Halt);
-        let spin = a.finish().bytes;
-
-        // CPU 1: overwrite the patch site with `Movi a0, 2`, then halt.
-        let patched = u64::from_le_bytes(encode(Instr::Movi { rd: A0, imm: 2 }));
-        let mut a = Asm::new();
-        a.li(T1, patched);
-        a.li(T2, CODE);
-        a.push(Instr::St { rs1: T2, rs2: T1, imm: 0 });
-        a.push(Instr::Halt);
-        let patcher = a.finish().bytes;
-
-        let mut mem = Memory::new();
-        let pt = Memory::GLOBAL_PT;
-        mem.map_anon(pt, CODE, 1, PageFlags::RWX, DomainTag(1));
-        mem.kwrite(pt, CODE, &spin).unwrap();
-        mem.map_anon(pt, CODE2, 1, PageFlags::RX, DomainTag(1));
-        mem.kwrite(pt, CODE2, &patcher).unwrap();
-
-        let mut m = Machine::new(2, mem, CostModel::default());
-        m.set_quantum(2_000);
-        m.set_host_threads(threads);
-        for (i, cpu) in m.cpus.iter_mut().enumerate() {
-            cpu.pc = if i == 0 { CODE } else { CODE2 };
-            cpu.cur_dom = DomainTag(1);
-            cpu.thread = 1 + i as u64;
-        }
-        let quanta = m.run_to_halt(1_000);
-        assert!(m.all_halted(), "spin never saw the patch (threads={threads})");
-        assert_eq!(m.cpus[0].reg(A0), 2, "stale decoded block after cross-CPU patch");
-        // The patch cannot land before the first barrier.
-        assert!(quanta >= 2, "patch visible too early: {quanta} quanta");
-        if simmem::blocks_enabled() {
-            let b = m.cpus[0].block_stats();
-            assert!(b.hits > 0, "spin loop should have hit the block cache");
-        } else if simmem::fastpath_enabled() {
-            let (hits, _) = m.cpus[0].icache_stats();
-            assert!(hits > 0, "spin loop should have warmed the icache");
-        }
+    let mut m = Smp::new(patch_world(), [CODE, CODE2]);
+    m.run_to_halt(1_000);
+    assert!(m.all_halted(), "spin never saw the patch");
+    assert_eq!(m.cpus[0].reg(A0), 2, "stale decoded block after cross-CPU patch");
+    if simmem::blocks_enabled() {
+        let b = m.cpus[0].block_stats();
+        assert!(b.hits > 0, "spin loop should have hit the block cache");
+    } else if simmem::fastpath_enabled() {
+        let (hits, _) = m.cpus[0].icache_stats();
+        assert!(hits > 0, "spin loop should have warmed the icache");
     }
 }
 
 #[test]
 fn remap_between_quanta_halts_all_cpus_via_generation_bump() {
-    // A kernel-level page flip between quanta (unmap + remap of the page
+    // A kernel-level page flip between slices (unmap + remap of the page
     // both CPUs execute from) must invalidate every CPU's cached
     // translation and decoded block: the fresh frame is filled with
     // `Halt`, so any stale fetch would keep spinning forever.
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for threads in [1usize, 2] {
-        let mut a = Asm::new();
-        a.label("loop");
-        a.push(Instr::Addi { rd: T0, rs1: T0, imm: 1 });
-        a.j("loop");
-        let spin = a.finish().bytes;
+    let mut a = Asm::new();
+    a.label("loop");
+    a.push(Instr::Addi { rd: T0, rs1: T0, imm: 1 });
+    a.j("loop");
+    let spin = a.finish().bytes;
 
-        let mut mem = Memory::new();
-        let pt = Memory::GLOBAL_PT;
-        mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-        mem.kwrite(pt, CODE, &spin).unwrap();
+    let mut mem = Memory::new();
+    let pt = Memory::GLOBAL_PT;
+    mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
+    mem.kwrite(pt, CODE, &spin).unwrap();
 
-        let mut m = Machine::new(2, mem, CostModel::default());
-        m.set_quantum(2_000);
-        m.set_host_threads(threads);
-        for (i, cpu) in m.cpus.iter_mut().enumerate() {
-            cpu.pc = CODE;
-            cpu.cur_dom = DomainTag(1);
-            cpu.thread = 1 + i as u64;
+    let mut m = Smp::new(mem, [CODE, CODE]);
+    // Warm both CPUs' caches for two rounds.
+    m.round();
+    m.round();
+    assert!(!m.all_halted());
+    if simmem::blocks_enabled() {
+        for c in &m.cpus {
+            assert!(c.block_stats().hits > 0, "cpu{} never hit its block cache", c.index);
         }
-        // Warm both CPUs' caches for two quanta.
-        m.step_quantum();
-        m.step_quantum();
-        assert!(!m.all_halted());
-        if simmem::blocks_enabled() {
-            for c in &m.cpus {
-                assert!(c.block_stats().hits > 0, "cpu{} never hit its block cache", c.index);
-            }
-        } else if simmem::fastpath_enabled() {
-            for c in &m.cpus {
-                let (hits, _) = c.icache_stats();
-                assert!(hits > 0, "cpu{} never hit its icache", c.index);
-            }
+    } else if simmem::fastpath_enabled() {
+        for c in &m.cpus {
+            let (hits, _) = c.icache_stats();
+            assert!(hits > 0, "cpu{} never hit its icache", c.index);
         }
-
-        m.mem.unmap(pt, CODE, 1);
-        m.mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-        let halts: Vec<u8> = encode(Instr::Halt).repeat((PAGE_SIZE / 8) as usize);
-        m.mem.kwrite(pt, CODE, &halts).unwrap();
-
-        let exits = m.step_quantum();
-        assert!(
-            m.all_halted(),
-            "stale translation survived the remap (threads={threads}): {exits:?}"
-        );
     }
+
+    m.mem.unmap(pt, CODE, 1);
+    m.mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
+    let halts: Vec<u8> = encode(Instr::Halt).repeat((PAGE_SIZE / 8) as usize);
+    m.mem.kwrite(pt, CODE, &halts).unwrap();
+
+    m.round();
+    assert!(m.all_halted(), "stale translation survived the remap");
 }
 
 // ---------------------------------------------------------------------
@@ -362,7 +397,7 @@ use codoms::apl::Perm;
 use codoms::cap::{CapKind, Capability};
 
 /// `set_blocks` is process-global; tests that toggle it — or that condition
-/// assertions on `blocks_enabled()` around a `Machine` run — hold this lock
+/// assertions on `blocks_enabled()` around a run — hold this lock
 /// so a concurrent toggle can't desynchronise a CPU's sampled mode from the
 /// global the assertion reads.
 static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -540,56 +575,21 @@ fn revocation_between_chained_blocks_faults_at_the_crossing() {
 #[test]
 fn smp_cross_cpu_patch_invalidates_chained_blocks_at_barrier() {
     // The cross-CPU patch scenario with the block engine forced on: CPU 0's
-    // spin loop runs as chained superblocks, CPU 1's store lands at the
-    // barrier and bumps the code epoch (CPU 0's block formation marked the
-    // frame as code), and CPU 0 must re-form — not chain into — its stale
-    // loop blocks in the next quantum.
+    // spin loop runs as chained superblocks, CPU 1's store bumps the code
+    // epoch (CPU 0's block formation marked the frame as code), and CPU 0
+    // must re-form — not chain into — its stale loop blocks in its next
+    // slice.
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     simmem::set_blocks(Some(true));
-    for threads in [1usize, 2] {
-        let mut a = Asm::new();
-        a.label("loop");
-        a.push(Instr::Movi { rd: A0, imm: 1 }); // patch site (CODE + 0)
-        a.li(T0, 2);
-        a.beq(A0, T0, "done");
-        a.j("loop");
-        a.label("done");
-        a.push(Instr::Halt);
-        let spin = a.finish().bytes;
-
-        let patched = u64::from_le_bytes(encode(Instr::Movi { rd: A0, imm: 2 }));
-        let mut a = Asm::new();
-        a.li(T1, patched);
-        a.li(T2, CODE);
-        a.push(Instr::St { rs1: T2, rs2: T1, imm: 0 });
-        a.push(Instr::Halt);
-        let patcher = a.finish().bytes;
-
-        let mut mem = Memory::new();
-        let pt = Memory::GLOBAL_PT;
-        mem.map_anon(pt, CODE, 1, PageFlags::RWX, DomainTag(1));
-        mem.kwrite(pt, CODE, &spin).unwrap();
-        mem.map_anon(pt, CODE2, 1, PageFlags::RX, DomainTag(1));
-        mem.kwrite(pt, CODE2, &patcher).unwrap();
-
-        let mut m = Machine::new(2, mem, CostModel::default());
-        m.set_quantum(2_000);
-        m.set_host_threads(threads);
-        for (i, cpu) in m.cpus.iter_mut().enumerate() {
-            cpu.pc = if i == 0 { CODE } else { CODE2 };
-            cpu.cur_dom = DomainTag(1);
-            cpu.thread = 1 + i as u64;
-        }
-        let quanta = m.run_to_halt(1_000);
-        assert!(m.all_halted(), "spin never saw the patch (threads={threads})");
-        assert_eq!(m.cpus[0].reg(A0), 2, "stale chained block after cross-CPU patch");
-        assert!(quanta >= 2, "patch visible too early: {quanta} quanta");
-        let b = m.cpus[0].block_stats();
-        assert!(b.chains > 0, "spin loop should have chained (threads={threads})");
-        // At least the loop blocks' initial formation plus the post-patch
-        // re-formation.
-        assert!(b.fills >= 3, "expected re-formation after the patch, stats: {b:?}");
-    }
+    let mut m = Smp::new(patch_world(), [CODE, CODE2]);
+    m.run_to_halt(1_000);
+    assert!(m.all_halted(), "spin never saw the patch");
+    assert_eq!(m.cpus[0].reg(A0), 2, "stale chained block after cross-CPU patch");
+    let b = m.cpus[0].block_stats();
+    assert!(b.chains > 0, "spin loop should have chained");
+    // At least the loop blocks' initial formation plus the post-patch
+    // re-formation.
+    assert!(b.fills >= 3, "expected re-formation after the patch, stats: {b:?}");
     simmem::set_blocks(None);
 }
 
@@ -746,89 +746,62 @@ fn smp_cross_cpu_epoch_bump_invalidates_crossing_blocks_at_barrier() {
     // CPU 0 spins through a two-domain loop (CODE in domain 1 jumps into
     // FAR in domain 2, which jumps back), so its hot blocks carry warm
     // crossing descriptors on both edges. CPU 1 patches the spin's exit
-    // condition; the store lands at the quantum barrier and bumps the
-    // code epoch, which must re-form the crossing blocks — re-running
-    // the CODOMs checks — rather than serve stale descriptors. The
-    // simulated outcome must be identical with and without xblocks, for
-    // every host thread count.
+    // condition; the store bumps the code epoch, which must re-form the
+    // crossing blocks — re-running the CODOMs checks — rather than serve
+    // stale descriptors. The simulated outcome must be identical with and
+    // without xblocks.
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut outcomes = Vec::new();
     for xblocks in [false, true] {
-        for threads in [1usize, 2] {
-            simmem::set_blocks(Some(true));
-            simmem::set_xblocks(Some(xblocks));
-            let mut a = Asm::new();
-            a.push(Instr::Movi { rd: A0, imm: 1 }); // patch site (CODE + 0)
-            a.li(T0, 2);
-            a.beq(A0, T0, "done");
-            let here = a.here();
-            a.push(Instr::Jal { rd: 0, imm: (FAR - (CODE + here)) as i32 });
-            a.label("done");
-            a.push(Instr::Halt);
-            let spin = a.finish().bytes;
-            let bounce =
-                Instr::Jal { rd: 0, imm: (CODE as i64 - FAR as i64) as i32 }.encode().to_vec();
+        simmem::set_blocks(Some(true));
+        simmem::set_xblocks(Some(xblocks));
+        let mut a = Asm::new();
+        a.push(Instr::Movi { rd: A0, imm: 1 }); // patch site (CODE + 0)
+        a.li(T0, 2);
+        a.beq(A0, T0, "done");
+        let here = a.here();
+        a.push(Instr::Jal { rd: 0, imm: (FAR - (CODE + here)) as i32 });
+        a.label("done");
+        a.push(Instr::Halt);
+        let spin = a.finish().bytes;
+        let bounce = Instr::Jal { rd: 0, imm: (CODE as i64 - FAR as i64) as i32 }.encode().to_vec();
 
-            let patched = u64::from_le_bytes(encode(Instr::Movi { rd: A0, imm: 2 }));
-            let mut a = Asm::new();
-            a.li(T1, patched);
-            a.li(T2, CODE);
-            a.push(Instr::St { rs1: T2, rs2: T1, imm: 0 });
-            a.push(Instr::Halt);
-            let patcher = a.finish().bytes;
+        let mut mem = Memory::new();
+        let pt = Memory::GLOBAL_PT;
+        mem.map_anon(pt, CODE, 1, PageFlags::RWX, DomainTag(1));
+        mem.kwrite(pt, CODE, &spin).unwrap();
+        mem.map_anon(pt, FAR, 1, PageFlags::RX, DomainTag(2));
+        mem.kwrite(pt, FAR, &bounce).unwrap();
+        mem.map_anon(pt, CODE2, 1, PageFlags::RX, DomainTag(1));
+        mem.kwrite(pt, CODE2, &patcher()).unwrap();
 
-            let mut mem = Memory::new();
-            let pt = Memory::GLOBAL_PT;
-            mem.map_anon(pt, CODE, 1, PageFlags::RWX, DomainTag(1));
-            mem.kwrite(pt, CODE, &spin).unwrap();
-            mem.map_anon(pt, FAR, 1, PageFlags::RX, DomainTag(2));
-            mem.kwrite(pt, FAR, &bounce).unwrap();
-            mem.map_anon(pt, CODE2, 1, PageFlags::RX, DomainTag(1));
-            mem.kwrite(pt, CODE2, &patcher).unwrap();
-
-            let mut m = Machine::new(2, mem, CostModel::default());
-            m.set_quantum(2_000);
-            m.set_host_threads(threads);
-            for (i, cpu) in m.cpus.iter_mut().enumerate() {
-                cpu.pc = if i == 0 { CODE } else { CODE2 };
-                cpu.cur_dom = DomainTag(1);
-                cpu.thread = 1 + i as u64;
-                let mut to2 = Apl::new();
-                to2.set(DomainTag(2), Perm::Read);
-                cpu.apl_cache.fill(DomainTag(1), to2);
-                let mut back = Apl::new();
-                back.set(DomainTag(1), Perm::Read);
-                cpu.apl_cache.fill(DomainTag(2), back);
-            }
-            let quanta = m.run_to_halt(1_000);
-            assert!(
-                m.all_halted(),
-                "spin never saw the patch (threads={threads} xblocks={xblocks})"
-            );
-            assert_eq!(m.cpus[0].reg(A0), 2, "stale crossing block after cross-CPU patch");
-            assert!(quanta >= 2, "patch visible too early: {quanta} quanta");
-            if xblocks {
-                let b = m.cpus[0].block_stats();
-                assert!(b.cross_hits > 0, "spin loop should have served crossing descriptors");
-            }
-            outcomes.push((
-                threads,
-                quanta,
-                m.cpus[0].cycles,
-                m.cpus[0].retired,
-                m.cpus[0].domain_crossings,
-                m.cpus[0].reg(A0),
-            ));
-            simmem::set_blocks(None);
-            simmem::set_xblocks(None);
+        let mut m = Smp::new(mem, [CODE, CODE2]);
+        for cpu in &mut m.cpus {
+            let mut to2 = Apl::new();
+            to2.set(DomainTag(2), Perm::Read);
+            cpu.apl_cache.fill(DomainTag(1), to2);
+            let mut back = Apl::new();
+            back.set(DomainTag(1), Perm::Read);
+            cpu.apl_cache.fill(DomainTag(2), back);
         }
+        let rounds = m.run_to_halt(1_000);
+        assert!(m.all_halted(), "spin never saw the patch (xblocks={xblocks})");
+        assert_eq!(m.cpus[0].reg(A0), 2, "stale crossing block after cross-CPU patch");
+        if xblocks {
+            let b = m.cpus[0].block_stats();
+            assert!(b.cross_hits > 0, "spin loop should have served crossing descriptors");
+        }
+        outcomes.push((
+            rounds,
+            m.cpus[0].cycles,
+            m.cpus[0].retired,
+            m.cpus[0].domain_crossings,
+            m.cpus[0].reg(A0),
+        ));
+        simmem::set_blocks(None);
+        simmem::set_xblocks(None);
     }
-    // Strip the thread-count tag and require one identical simulated
-    // outcome across xblocks × host-thread combinations.
-    let strip = |o: &(usize, u64, u64, u64, u64, u64)| (o.1, o.2, o.3, o.4, o.5);
-    for o in &outcomes[1..] {
-        assert_eq!(strip(o), strip(&outcomes[0]), "outcome diverged: {outcomes:?}");
-    }
+    assert_eq!(outcomes[0], outcomes[1], "outcome diverged across xblocks");
 }
 
 // ---------------------------------------------------------------------

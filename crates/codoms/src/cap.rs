@@ -152,7 +152,7 @@ impl Capability {
 ///
 /// `revoke_all(thread)` bumps the thread's counter, immediately invalidating
 /// every synchronous capability created by that thread before the bump.
-#[derive(Default, Clone)]
+#[derive(Default)]
 pub struct RevocationTable {
     epochs: std::collections::HashMap<u64, u64>,
 }
@@ -171,23 +171,6 @@ impl RevocationTable {
     /// Bumps `thread`'s epoch, revoking its outstanding sync capabilities.
     pub fn revoke_all(&mut self, thread: u64) {
         *self.epochs.entry(thread).or_insert(0) += 1;
-    }
-
-    /// Folds another table into this one, keeping the higher epoch per
-    /// thread.
-    ///
-    /// The SMP engine runs each CPU's quantum against a clone of the shared
-    /// table and merges the clones back at the barrier. Taking the maximum is
-    /// exact — not an approximation — because a thread's epoch is only ever
-    /// bumped by the one CPU the thread is currently running on, so for any
-    /// given thread at most one clone diverges from the shared value.
-    pub fn merge_max(&mut self, other: &RevocationTable) {
-        for (&thread, &epoch) in &other.epochs {
-            let e = self.epochs.entry(thread).or_insert(0);
-            if epoch > *e {
-                *e = epoch;
-            }
-        }
     }
 
     /// True if `cap` is currently valid for use by `thread`.

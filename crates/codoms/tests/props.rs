@@ -204,9 +204,9 @@ proptest! {
 
     /// Check results are order-independent across CPUs: two hardware threads
     /// with independent APL caches — one cold, one pre-filled in a different
-    /// order, evaluating the queries in a rotated order against a cloned
-    /// revocation table (the SMP engine's per-CPU clone) — reach the same
-    /// allow/deny outcome (including the denial reason) for every access.
+    /// order, evaluating the queries in a rotated order against the shared
+    /// revocation table — reach the same allow/deny outcome (including the
+    /// denial reason) for every access.
     /// The APL cache is a pure cache: fill order and residency never flip an
     /// outcome. Only the *credited authority* may differ (a capability hit
     /// can win the parallel race while the APL entry is still cold), which
@@ -246,9 +246,7 @@ proptest! {
             res_a[i] = Some(outcome(check_refill(&chk, &dt, &mut cache_a, &caps, &rev, q)));
         }
 
-        // CPU B: cache warmed in an arbitrary order, queries rotated, and
-        // the revocation table is the barrier-time clone.
-        let rev_b = rev.clone();
+        // CPU B: cache warmed in an arbitrary order, queries rotated.
         let mut cache_b = AplCache::new();
         for t in prefill {
             cache_b.fill(DomainTag(t), dt.apl(DomainTag(t)).expect("exists").clone());
@@ -257,7 +255,7 @@ proptest! {
         for k in 0..n {
             let i = (k + rot) % n;
             res_b[i] =
-                Some(outcome(check_refill(&chk, &dt, &mut cache_b, &caps, &rev_b, queries[i])));
+                Some(outcome(check_refill(&chk, &dt, &mut cache_b, &caps, &rev, queries[i])));
         }
 
         prop_assert_eq!(res_a, res_b);

@@ -29,8 +29,8 @@
 //!
 //! Everything is pure host-side computation from a [`WorkloadCfg`] seed:
 //! no simulator state, no host clocks, no environment variables — the
-//! stream is bit-identical across `SMP_HOST_THREADS` settings and repeated
-//! runs (property-tested in `crates/oltp/tests/workload_props.rs`).
+//! stream is bit-identical across repeated runs (property-tested in
+//! `crates/oltp/tests/workload_props.rs`).
 //!
 //! [`TokenBucket`] implements the edge's admission control in exact
 //! integer arithmetic (micro-tokens), so "never admits above the

@@ -432,99 +432,6 @@ pub fn take_due(now: u64) -> Vec<Trigger> {
     })
 }
 
-/// A deterministic per-CPU fault stream for SMP worker quanta.
-///
-/// The SMP engine cannot let several CPUs draw from one site-counter
-/// sequence concurrently — the interleaving would depend on host thread
-/// scheduling. Instead each simulated CPU gets its own stream, forked once
-/// from the armed plan ([`fork_worker`]): same rates and parameters, a
-/// per-CPU derived seed, and private site counters that persist across
-/// quanta. Before a worker runs a CPU's quantum it installs the stream as
-/// that thread's armed state ([`install_worker`]); afterwards it takes it
-/// back ([`take_worker`]) and the engine merges the quantum's injection
-/// log into the main thread's armed state in CPU-index order
-/// ([`absorb_worker`]) — so the combined log replays bit-identically for
-/// any `SMP_HOST_THREADS`.
-///
-/// Time triggers (`kill@`/`tkill@`) stay on the main thread: they are
-/// kernel-level actions, and worker plans carry none.
-pub struct WorkerFaults {
-    cpu: u64,
-    plan: FaultPlan,
-    counters: [u64; Site::COUNT],
-    injections: u64,
-    log: Vec<String>,
-}
-
-/// Forks a per-CPU stream off the plan armed on the current thread.
-/// Returns `None` when nothing is armed.
-pub fn fork_worker(cpu: u64) -> Option<WorkerFaults> {
-    if !armed() {
-        return None;
-    }
-    STATE.with(|s| {
-        s.borrow().as_ref().map(|st| {
-            let mut plan = st.plan.clone();
-            // Decorrelate CPUs under one seed; keep rates/params/after.
-            plan.seed = splitmix64(st.plan.seed ^ (0x534d_5021u64 + cpu));
-            plan.triggers.clear();
-            WorkerFaults { cpu, plan, counters: [0; Site::COUNT], injections: 0, log: Vec::new() }
-        })
-    })
-}
-
-/// Arms `w` as the current (worker) thread's fault state.
-pub fn install_worker(w: WorkerFaults) {
-    STATE.with(|s| {
-        *s.borrow_mut() = Some(State {
-            plan: w.plan,
-            counters: w.counters,
-            next_trigger: 0,
-            injections: w.injections,
-            log: w.log,
-        })
-    });
-    ARMED.with(|a| a.set(true));
-}
-
-/// Disarms the current thread and returns the stream (counters advanced,
-/// log holding this quantum's hits). `cpu` restores the stream identity.
-pub fn take_worker(cpu: u64) -> Option<WorkerFaults> {
-    ARMED.with(|a| a.set(false));
-    STATE.with(|s| {
-        s.borrow_mut().take().map(|st| WorkerFaults {
-            cpu,
-            plan: st.plan,
-            counters: st.counters,
-            injections: st.injections,
-            log: st.log,
-        })
-    })
-}
-
-/// Merges a worker stream's pending log into the main thread's armed
-/// state (called at the quantum barrier in CPU-index order) and clears it
-/// from the stream. Log lines are prefixed with the CPU index so replay
-/// comparisons identify the emitting CPU.
-pub fn absorb_worker(w: &mut WorkerFaults) {
-    let lines: Vec<String> = w.log.drain(..).collect();
-    let hits = w.injections;
-    w.injections = 0;
-    if !armed() {
-        return;
-    }
-    STATE.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            st.injections += hits;
-            for line in lines {
-                if st.log.len() < LOG_CAP {
-                    st.log.push(format!("cpu{} {line}", w.cpu));
-                }
-            }
-        }
-    });
-}
-
 /// Total faults injected (hits + fired triggers) since [`arm`].
 pub fn injections() -> u64 {
     STATE.with(|s| s.borrow().as_ref().map(|st| st.injections).unwrap_or(0))
@@ -618,51 +525,5 @@ mod tests {
         assert!(take_due(u64::MAX).is_empty());
         assert_eq!(injections(), 2);
         disarm();
-    }
-
-    #[test]
-    fn worker_streams_are_per_cpu_deterministic_and_absorb_in_order() {
-        let run = || {
-            arm(FaultPlan::new(9).rate(Site::Revoke, 0.5).at(100, Trigger::KillProcess { pid: 1 }));
-            let mut streams: Vec<WorkerFaults> =
-                (0..2).map(|c| fork_worker(c).expect("armed")).collect();
-            let mut seqs = Vec::new();
-            // Two quanta: counters must carry across install/take cycles so
-            // the draw sequence continues instead of restarting.
-            for _q in 0..2 {
-                let taken: Vec<(Vec<bool>, WorkerFaults)> = std::thread::scope(|s| {
-                    let hs: Vec<_> = streams
-                        .drain(..)
-                        .enumerate()
-                        .map(|(c, w)| {
-                            s.spawn(move || {
-                                install_worker(w);
-                                assert!(armed());
-                                // Worker plans carry no triggers.
-                                assert!(take_due(u64::MAX).is_empty());
-                                let seq: Vec<bool> =
-                                    (0..50).map(|i| should(Site::Revoke, i)).collect();
-                                (seq, take_worker(c as u64).expect("installed"))
-                            })
-                        })
-                        .collect();
-                    hs.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                for (seq, mut w) in taken {
-                    absorb_worker(&mut w);
-                    seqs.push(seq);
-                    streams.push(w);
-                }
-            }
-            let log = log_render();
-            let total = injections();
-            disarm();
-            (seqs, log, total)
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "worker streams must replay bit-identically");
-        assert_ne!(a.0[0], a.0[1], "CPU streams should be decorrelated");
-        assert!(a.1.contains("cpu0 ") && a.1.contains("cpu1 "), "{}", a.1);
     }
 }

@@ -4,9 +4,8 @@
 //! verdict on every attempt and on every host thread, valid images always
 //! load, and the checker never panics on arbitrary bytes.
 //!
-//! CI runs this suite under both `SMP_HOST_THREADS` modes; the in-process
-//! cross-thread check below additionally pins that the verdict carries no
-//! hidden host-thread dependence.
+//! The in-process cross-thread check below pins that the verdict carries
+//! no hidden host-thread dependence.
 
 use proptest::prelude::*;
 use simkernel::checker::{sign, CheckError, Checker, GrantCaps, GrantSet};
@@ -30,8 +29,7 @@ fn grants(mem: u64, mask: u64, threads: u64) -> GrantSet {
 }
 
 /// The verdict must be identical when recomputed on this thread and on a
-/// fresh spawned host thread (the checker is pure; `SMP_HOST_THREADS`
-/// cannot change it).
+/// fresh spawned host thread (the checker is pure).
 fn verdict_everywhere(blob: &[u8]) -> Result<(), String> {
     let c = checker();
     let here = c.check(blob);

@@ -24,17 +24,14 @@
 //! single page table within a global virtual address space, while regular
 //! processes keep private page tables.
 
-pub mod bus;
 pub mod fastpath;
 pub mod mem;
 pub mod page;
 pub mod pagetable;
 pub mod phys;
-pub mod shadow;
 pub mod tlb;
 pub mod vas;
 
-pub use bus::Bus;
 pub use fastpath::{
     blocks_enabled, fastpath_enabled, set_blocks, set_fastpath, set_threaded, set_xblocks,
     threaded_enabled, xblocks_enabled,
@@ -43,6 +40,5 @@ pub use mem::{MemFault, Memory};
 pub use page::{DomainTag, PageFlags, PAGE_SHIFT, PAGE_SIZE};
 pub use pagetable::{PageTable, PageTableId, Pte};
 pub use phys::{FrameId, PhysMem};
-pub use shadow::{MemSnapshot, ShadowDelta, ShadowMem};
 pub use tlb::{Tlb, TlbConfig, TlbStats};
 pub use vas::{BlockId, GlobalVas, ProcLayout, VasError};

@@ -243,15 +243,6 @@ impl Memory {
         self.lookup_cached(pt, addr)
     }
 
-    /// A [`crate::MemSnapshot`] of the current physical memory and page
-    /// tables — the `Sync` base the SMP engine hands to per-CPU
-    /// [`crate::ShadowMem`] views. Valid only while `self` is not mutated
-    /// (the borrow checker enforces this).
-    #[inline]
-    pub fn snapshot(&self) -> crate::shadow::MemSnapshot<'_> {
-        crate::shadow::MemSnapshot::new(&self.phys, &self.tables, self.fastpath)
-    }
-
     /// Translates `addr`, checking the conventional protection bit for
     /// `access`. Returns the PTE (including the CODOMs tag) on success.
     #[inline]

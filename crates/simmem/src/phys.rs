@@ -172,14 +172,6 @@ impl PhysMem {
         self.code_epoch
     }
 
-    /// Whether `id` is currently marked as backing executed code (see
-    /// [`PhysMem::mark_code`]). SMP shadow views use this to decide if a
-    /// buffered write must bump their local code epoch.
-    #[inline]
-    pub fn is_code(&self, id: FrameId) -> bool {
-        self.code.get(id.0 as usize).copied().unwrap_or(false)
-    }
-
     #[inline]
     fn frame(&self, id: FrameId) -> &[u8] {
         self.frames

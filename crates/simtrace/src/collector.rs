@@ -21,130 +21,6 @@ use crate::TimeCat;
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
     static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::default());
-    static CAPTURE: RefCell<Option<Vec<Deferred>>> = const { RefCell::new(None) };
-}
-
-/// One hook invocation captured on an SMP worker thread, to be replayed on
-/// the owning (main) thread's collector at the quantum barrier. Arguments
-/// are stored exactly as the worker passed them (raw, un-rebased
-/// timestamps); [`replay`] feeds them back through the public hooks, so
-/// epoch rebasing and the proxy state machine behave as if the events had
-/// been emitted on the main thread in replay order.
-#[derive(Clone, Debug)]
-pub enum Deferred {
-    /// A [`begin_span`] call.
-    Begin {
-        /// Target track.
-        track: Track,
-        /// Raw virtual timestamp.
-        ts: u64,
-        /// Span name.
-        name: String,
-        /// Chrome category.
-        cat: &'static str,
-    },
-    /// An [`end_span`] call.
-    End {
-        /// Target track.
-        track: Track,
-        /// Raw virtual timestamp.
-        ts: u64,
-    },
-    /// An [`instant`] call.
-    Instant {
-        /// Target track.
-        track: Track,
-        /// Raw virtual timestamp.
-        ts: u64,
-        /// Marker name.
-        name: String,
-        /// Chrome category.
-        cat: &'static str,
-    },
-    /// A [`slice()`] call.
-    Slice {
-        /// Simulated CPU index.
-        cpu: usize,
-        /// Slice end timestamp.
-        ts_end: u64,
-        /// Slice duration in cycles.
-        dur: u64,
-        /// Time category.
-        cat: TimeCat,
-    },
-    /// A [`counter`] call.
-    Counter {
-        /// Counter name.
-        name: &'static str,
-        /// Increment.
-        delta: u64,
-    },
-    /// A [`hist`] call.
-    Hist {
-        /// Histogram name.
-        name: &'static str,
-        /// Sample value.
-        value: u64,
-    },
-    /// A [`domain_crossing`] call.
-    Crossing {
-        /// Simulated CPU index.
-        cpu: usize,
-        /// PC of the crossing fetch.
-        pc: u64,
-        /// Raw virtual timestamp.
-        ts: u64,
-    },
-}
-
-/// True when this thread buffers hook calls instead of recording them.
-#[inline]
-fn capture_active() -> bool {
-    CAPTURE.with(|c| c.borrow().is_some())
-}
-
-/// Buffers `ev`; only call when [`capture_active`] just returned true.
-#[inline]
-fn capture_push(ev: Deferred) {
-    CAPTURE.with(|c| {
-        if let Some(buf) = &mut *c.borrow_mut() {
-            buf.push(ev);
-        }
-    })
-}
-
-/// Puts the current thread into capture mode: hooks buffer their arguments
-/// instead of touching a collector, and [`enabled`] reports `true` so
-/// callers gate instrumentation exactly as on the main thread. Used by the
-/// SMP engine on worker threads; pair with [`capture_take`].
-pub fn capture_start() {
-    CAPTURE.with(|c| *c.borrow_mut() = Some(Vec::new()));
-    ENABLED.with(|e| e.set(true));
-}
-
-/// Leaves capture mode, returning the buffered hook calls in emission
-/// order.
-pub fn capture_take() -> Vec<Deferred> {
-    ENABLED.with(|e| e.set(false));
-    CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default()
-}
-
-/// Replays captured hook calls into this thread's collector. The SMP
-/// engine calls this at the quantum barrier, once per CPU in CPU-index
-/// order, which makes the merged event stream a pure function of the
-/// simulation — bit-identical for any host thread count.
-pub fn replay(events: Vec<Deferred>) {
-    for ev in events {
-        match ev {
-            Deferred::Begin { track, ts, name, cat } => begin_span(track, ts, name, cat),
-            Deferred::End { track, ts } => end_span(track, ts),
-            Deferred::Instant { track, ts, name, cat } => instant(track, ts, name, cat),
-            Deferred::Slice { cpu, ts_end, dur, cat } => slice(cpu, ts_end, dur, cat),
-            Deferred::Counter { name, delta } => counter(name, delta),
-            Deferred::Hist { name, value } => hist(name, value),
-            Deferred::Crossing { cpu, pc, ts } => domain_crossing(cpu, pc, ts),
-        }
-    }
 }
 
 /// Where an event lives in the trace: one Chrome "thread" per track.
@@ -335,25 +211,16 @@ pub fn begin_span(track: Track, ts: u64, name: impl Into<String>, cat: &'static 
     if !enabled() {
         return;
     }
-    let name: String = name.into();
-    if capture_active() {
-        capture_push(Deferred::Begin { track, ts, name, cat });
-        return;
-    }
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
         let ts = ts + c.offset;
-        c.record(Ev::Begin { track, ts, name, cat });
+        c.record(Ev::Begin { track, ts, name: name.into(), cat });
     });
 }
 
 /// Closes the innermost open span on `track`.
 pub fn end_span(track: Track, ts: u64) {
     if !enabled() {
-        return;
-    }
-    if capture_active() {
-        capture_push(Deferred::End { track, ts });
         return;
     }
     COLLECTOR.with(|c| {
@@ -368,15 +235,10 @@ pub fn instant(track: Track, ts: u64, name: impl Into<String>, cat: &'static str
     if !enabled() {
         return;
     }
-    let name: String = name.into();
-    if capture_active() {
-        capture_push(Deferred::Instant { track, ts, name, cat });
-        return;
-    }
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
         let ts = ts + c.offset;
-        c.record(Ev::Instant { track, ts, name, cat });
+        c.record(Ev::Instant { track, ts, name: name.into(), cat });
     });
 }
 
@@ -384,10 +246,6 @@ pub fn instant(track: Track, ts: u64, name: impl Into<String>, cat: &'static str
 /// `dur` cycles ending at `ts_end`, labeled with the Figure 2 category.
 pub fn slice(cpu: usize, ts_end: u64, dur: u64, cat: TimeCat) {
     if !enabled() || dur == 0 {
-        return;
-    }
-    if capture_active() {
-        capture_push(Deferred::Slice { cpu, ts_end, dur, cat });
         return;
     }
     COLLECTOR.with(|c| {
@@ -408,10 +266,6 @@ pub fn counter(name: &'static str, delta: u64) {
     if !enabled() {
         return;
     }
-    if capture_active() {
-        capture_push(Deferred::Counter { name, delta });
-        return;
-    }
     COLLECTOR.with(|c| {
         *c.borrow_mut().counters.entry(name).or_insert(0) += delta;
     });
@@ -420,10 +274,6 @@ pub fn counter(name: &'static str, delta: u64) {
 /// Records one sample into a named histogram.
 pub fn hist(name: &'static str, value: u64) {
     if !enabled() {
-        return;
-    }
-    if capture_active() {
-        capture_push(Deferred::Hist { name, value });
         return;
     }
     COLLECTOR.with(|c| {
@@ -455,10 +305,6 @@ pub fn register_proxy(name: impl Into<String>, entry: (u64, u64), ret: (u64, u64
 /// records the proxy latency).
 pub fn domain_crossing(cpu: usize, pc: u64, ts: u64) {
     if !enabled() {
-        return;
-    }
-    if capture_active() {
-        capture_push(Deferred::Crossing { cpu, pc, ts });
         return;
     }
     COLLECTOR.with(|c| {

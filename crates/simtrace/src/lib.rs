@@ -21,9 +21,8 @@ mod export;
 
 pub use accounting::{TimeBreakdown, TimeCat};
 pub use collector::{
-    begin_span, capture_start, capture_take, counter, counter_value, disable, domain_crossing,
-    enable, enabled, end_span, event_count, flush, hist, instant, new_epoch, register_proxy,
-    render, replay, slice, Deferred, Track,
+    begin_span, counter, counter_value, disable, domain_crossing, enable, enabled, end_span,
+    event_count, flush, hist, instant, new_epoch, register_proxy, render, slice, Track,
 };
 
 #[cfg(test)]
@@ -97,46 +96,6 @@ mod tests {
         assert!(stats.cats.contains("proxy"));
         assert!(summary.contains("proxy_latency_cycles: n=1"), "{summary}");
         assert!(summary.contains("p50=90"), "{summary}");
-    }
-
-    #[test]
-    fn capture_replay_from_worker_threads_is_deterministic() {
-        // Two "CPUs" emit concurrently on real host threads; their hook
-        // calls are captured per thread and replayed in CPU order on the
-        // main thread — the SMP engine's exact protocol.
-        let run = || {
-            enable("/dev/null");
-            let captured: Vec<Vec<Deferred>> = std::thread::scope(|s| {
-                let hs: Vec<_> = (0..2usize)
-                    .map(|cpu| {
-                        s.spawn(move || {
-                            capture_start();
-                            assert!(enabled(), "capture mode must report enabled");
-                            begin_span(Track::Cpu(cpu), 10, format!("quantum{cpu}"), "syscall");
-                            slice(cpu, 40, 30, TimeCat::User);
-                            counter("domain_crossings", 1);
-                            hist("request_latency_cycles", 77 + cpu as u64);
-                            end_span(Track::Cpu(cpu), 40);
-                            capture_take()
-                        })
-                    })
-                    .collect();
-                hs.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            assert_eq!(event_count(), 0, "worker emission must not touch the collector");
-            for evs in captured {
-                replay(evs);
-            }
-            assert_eq!(counter_value("domain_crossings"), 2);
-            let r = render();
-            disable();
-            r
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "replayed trace must be byte-identical across runs");
-        let stats = check::validate_chrome_json(&a.0).expect("well-formed");
-        assert_eq!(stats.unbalanced_begins, 0, "no torn/interleaved span pairs");
     }
 
     #[test]

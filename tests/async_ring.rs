@@ -1,11 +1,9 @@
 //! Workspace tests for the asynchronous dIPC subsystem: capability-gated
 //! channel access, determinism of the full async OLTP pipeline (the
 //! fingerprint covers operation counts, cycle counts and the ring cursors
-//! of every minted channel — CI repeats this binary under
-//! `SMP_HOST_THREADS=1` and the default to pin the host-thread contract),
-//! zero-rate fault-injection cycle-identity, and mid-flight process kills
-//! failing pending enqueues with `DIPC_ERR_FAULT` instead of hanging or
-//! leaking ring slots.
+//! of every minted channel), zero-rate fault-injection cycle-identity, and
+//! mid-flight process kills failing pending enqueues with `DIPC_ERR_FAULT`
+//! instead of hanging or leaking ring slots.
 
 mod common;
 

@@ -140,22 +140,68 @@ fn markdown_links_resolve() {
     assert!(errors.is_empty(), "documentation links rotted:\n{}", errors.join("\n"));
 }
 
+/// The cells of each data row of the README's canonical env-var table
+/// (`cells[1]` = variable, `cells[2]` = default).
+fn readme_env_rows() -> Vec<Vec<String>> {
+    let text = fs::read_to_string(repo_root().join("README.md")).expect("README");
+    let rows: Vec<Vec<String>> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("| variable | default |"))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2)
+        .map(|row| row.split('|').map(|c| c.trim().to_string()).collect())
+        .collect();
+    assert!(rows.len() > 8, "canonical env table missing from README");
+    rows
+}
+
 #[test]
 fn readme_env_table_has_defaults_for_every_row() {
     // The canonical env-var table promises a default for every knob; keep
     // the column from silently losing cells.
-    let text = fs::read_to_string(repo_root().join("README.md")).expect("README");
-    let table: Vec<&str> = text
-        .lines()
-        .skip_while(|l| !l.starts_with("| variable | default |"))
-        .take_while(|l| l.starts_with('|'))
-        .collect();
-    assert!(table.len() > 10, "canonical env table missing from README");
-    for row in table.iter().skip(2) {
-        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+    for cells in readme_env_rows() {
         assert!(
             cells.len() >= 4 && !cells[2].is_empty(),
-            "env-table row lacks a default value: {row}"
+            "env-table row lacks a default value: {cells:?}"
         );
+    }
+}
+
+/// Appends the text of every `.rs` file under `dir`, skipping `tests/`
+/// directories.
+fn read_non_test_sources(dir: &Path, out: &mut String) {
+    for entry in fs::read_dir(dir).expect("readable source dir").filter_map(|e| e.ok()) {
+        let path = entry.path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "tests") {
+                read_non_test_sources(&path, out);
+            }
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push_str(&fs::read_to_string(&path).expect("readable source"));
+        }
+    }
+}
+
+#[test]
+fn readme_env_table_names_only_variables_the_code_reads() {
+    // A documented knob must have a reader: every variable in the table
+    // appears as a string literal in some non-test source under crates/.
+    let mut sources = String::new();
+    read_non_test_sources(&repo_root().join("crates"), &mut sources);
+    for cells in readme_env_rows() {
+        // The variable cell holds one or more backticked `NAME[=value]`.
+        let names: Vec<String> = cells[1]
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .map(|code| code.chars().take_while(|c| c.is_ascii_uppercase() || *c == '_').collect())
+            .collect();
+        assert!(!names.is_empty(), "env-table row names no variable: {cells:?}");
+        for name in names {
+            assert!(
+                sources.contains(&format!("\"{name}\"")),
+                "README documents {name}, but no non-test source under crates/ reads it"
+            );
+        }
     }
 }
