@@ -806,8 +806,8 @@ impl System {
             t.cur_pid = Pid(caller_pid);
             if matches!(t.state, ThreadState::Blocked(_)) {
                 t.state = ThreadState::Runnable;
-                let (target, ready_at) = (t.affinity.unwrap_or(t.last_cpu), t.ready_at);
-                self.k.enqueue(target, tid, ready_at);
+                let (affinity, last_cpu, ready_at) = (t.affinity, t.last_cpu, t.ready_at);
+                self.k.enqueue(affinity.unwrap_or(last_cpu), tid, ready_at, affinity.is_some());
             }
             self.unwinds += 1;
             simtrace::counter("unwinds", 1);
@@ -1224,8 +1224,8 @@ impl System {
                 })
                 .map(|(vpn, _)| vpn)
                 .collect();
-            // HashMap iteration order is host-dependent; sort before
-            // indexing with the deterministic draw.
+            // Table iteration order follows insertion history, not a
+            // contract; sort before indexing with the deterministic draw.
             cands.sort_unstable();
             if !cands.is_empty() {
                 let pick = simfault::draw(simfault::Site::PageFlip, cands.len() as u64);

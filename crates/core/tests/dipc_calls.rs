@@ -4,7 +4,7 @@
 use cdvm::isa::reg::*;
 use cdvm::{Asm, Instr};
 use dipc::{AppSpec, IsoProps, Signature, World, DIPC_ERR_FAULT};
-use simkernel::{KernelConfig, ThreadState};
+use simkernel::{sysno, KernelConfig, ThreadState};
 
 fn world() -> World {
     World::new(KernelConfig { cpus: 1, ..KernelConfig::default() })
@@ -337,13 +337,19 @@ fn same_process_domain_isolation() {
     assert_eq!(w.sys.k.threads[&tid].exit_code, 6);
 }
 
-#[test]
-fn killing_callee_process_unwinds_visitors() {
-    // §5.2.1: killing a process must not strand threads of other processes
-    // executing inside it — they unwind with an error.
+/// §5.2.1: killing a process must not strand threads of other processes
+/// executing inside it — they unwind with an error. With `asleep` the
+/// visitor is blocked inside db when it dies, so it is rescued through its
+/// saved context and put straight back on a run queue.
+fn kill_db_under_visitor(asleep: bool) {
     let mut w = world();
-    let db = AppSpec::new("db", |a| {
+    let db = AppSpec::new("db", move |a| {
         a.label("spin");
+        if asleep {
+            a.li(A0, 1_000_000_000);
+            a.li(A7, sysno::SLEEP_NS);
+            a.push(Instr::Ecall);
+        }
         // Service that never returns (models a hung callee).
         a.label("fs");
         a.j("fs");
@@ -360,17 +366,31 @@ fn killing_callee_process_unwinds_visitors() {
     w.link();
     let tid = w.spawn("web", "main", &[]);
     let db_pid = w.app("db").pid;
-    // Let the call get inside db, then kill db.
+    // Let the call get inside db (and to sleep there), then kill db.
+    let inside = |w: &World| match w.sys.k.threads[&tid].state {
+        ThreadState::Blocked(_) => asleep && w.sys.k.threads[&tid].cur_pid == db_pid,
+        _ => !asleep && w.sys.k.current_pid(0) == db_pid,
+    };
     for _ in 0..100_000 {
-        if matches!(w.sys.step(), dipc::SysStep::Progress) && w.sys.k.current_pid(0) == db_pid {
+        if matches!(w.sys.step(), dipc::SysStep::Progress) && inside(&w) {
             break;
         }
     }
-    assert_eq!(w.sys.k.current_pid(0), db_pid, "call must be inside db");
+    assert!(inside(&w), "call must be inside db");
     w.sys.kill_process(db_pid);
     w.sys.run_to_completion();
     assert_eq!(w.sys.k.threads[&tid].exit_code, DIPC_ERR_FAULT);
     assert!(!w.sys.k.procs[&db_pid].alive);
+}
+
+#[test]
+fn killing_callee_process_unwinds_visitors() {
+    kill_db_under_visitor(false);
+}
+
+#[test]
+fn killing_callee_process_unwinds_sleeping_visitor() {
+    kill_db_under_visitor(true);
 }
 
 #[test]

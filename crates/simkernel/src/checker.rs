@@ -27,7 +27,7 @@
 //! [-8..)    signature: keyed chained checksum over everything before it
 //! ```
 
-use std::collections::HashMap;
+use simmem::IdMap;
 
 use crate::process::Pid;
 use crate::syscall::nr;
@@ -300,7 +300,7 @@ impl Checker {
 /// filter-proxy domain instead.
 #[derive(Debug, Default)]
 pub struct SyscallFilters {
-    masks: HashMap<Pid, u64>,
+    masks: IdMap<Pid, u64>,
 }
 
 impl SyscallFilters {

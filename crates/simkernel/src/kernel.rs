@@ -32,7 +32,7 @@ use cdvm::{CostModel, Cpu, Fault, FaultKind, RunExit, StepEvent};
 use codoms::apl::DomainTable;
 use codoms::cap::RevocationTable;
 use codoms::dcs::Dcs;
-use simmem::{DomainTag, GlobalVas, Memory, PageFlags, PageTableId, ProcLayout, PAGE_SIZE};
+use simmem::{DomainTag, GlobalVas, IdMap, Memory, PageFlags, PageTableId, ProcLayout, PAGE_SIZE};
 
 use crate::accounting::{TimeBreakdown, TimeCat};
 use crate::costs::SysCosts;
@@ -113,11 +113,12 @@ pub struct CpuSlot {
     /// Thread currently on the CPU.
     pub current: Option<Tid>,
     /// Local run queue. Private so that every edit goes through the
-    /// kernel's enqueue/dequeue helpers, which keep `runq_earliest` true.
-    runq: VecDeque<Tid>,
+    /// kernel's enqueue/dequeue helpers, which keep `runq_earliest` and the
+    /// entries' cached fields true.
+    runq: VecDeque<RunqEntry>,
     /// Earliest `ready_at` among the queued threads (`u64::MAX` when the
     /// queue is empty): what the per-step CPU pick and every slice's
-    /// deadline need, without walking the queue through the thread map.
+    /// deadline need, without walking the queue.
     runq_earliest: u64,
     /// Time attribution.
     pub breakdown: TimeBreakdown,
@@ -127,10 +128,30 @@ pub struct CpuSlot {
     pub percpu_base: u64,
 }
 
+/// A queued thread with the two facts about it the scheduler scans for, so
+/// picking, stealing and the earliest-entry rescan read the queue alone. A
+/// queued thread's `ready_at` and affinity change only through
+/// `enqueue`/`dequeue*`, which makes the copies exact (debug builds check
+/// them against the thread table on every CPU pick and dequeue).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunqEntry {
+    /// The queued thread.
+    pub tid: Tid,
+    /// Its `Thread::ready_at`.
+    pub ready_at: u64,
+    /// Its `Thread::affinity.is_some()`: pinned threads are not stolen.
+    pub pinned: bool,
+}
+
 impl CpuSlot {
     /// The local run queue, front first.
-    pub fn runq(&self) -> &VecDeque<Tid> {
+    pub fn runq(&self) -> &VecDeque<RunqEntry> {
         &self.runq
+    }
+
+    /// The definition `runq_earliest` caches.
+    fn scan_runq_earliest(&self) -> u64 {
+        self.runq.iter().map(|e| e.ready_at).min().unwrap_or(u64::MAX)
     }
 }
 
@@ -220,13 +241,13 @@ pub struct Kernel {
     /// Per-CPU state.
     pub cpus: Vec<CpuSlot>,
     /// All processes.
-    pub procs: HashMap<Pid, Process>,
+    pub procs: IdMap<Pid, Process>,
     /// All threads.
-    pub threads: HashMap<Tid, Thread>,
+    pub threads: IdMap<Tid, Thread>,
     /// Global event queue.
     pub events: EventQueue,
     /// Futex wait queues keyed by physical (frame, offset).
-    pub futexes: HashMap<u64, Vec<Tid>>,
+    pub futexes: IdMap<u64, Vec<Tid>>,
     /// All pipes.
     pub pipes: Vec<Pipe>,
     /// All socket endpoints.
@@ -300,10 +321,10 @@ impl Kernel {
             rev: RevocationTable::new(),
             vas: GlobalVas::new(),
             cpus,
-            procs: HashMap::new(),
-            threads: HashMap::new(),
+            procs: IdMap::default(),
+            threads: IdMap::default(),
             events: EventQueue::new(),
-            futexes: HashMap::new(),
+            futexes: IdMap::default(),
             pipes: Vec::new(),
             socks: Vec::new(),
             listeners: Vec::new(),
@@ -523,7 +544,7 @@ impl Kernel {
         self.threads.insert(tid, thread);
         self.procs.get_mut(&pid).expect("checked").threads.push(tid);
         self.live_threads += 1;
-        self.enqueue(cpu, tid, 0);
+        self.enqueue(cpu, tid, 0, false);
         tid
     }
 
@@ -539,44 +560,56 @@ impl Kernel {
         t.affinity = Some(cpu);
         t.last_cpu = cpu;
         let ready_at = t.ready_at;
-        self.enqueue(cpu, tid, ready_at);
+        self.enqueue(cpu, tid, ready_at, true);
     }
 
     /// Appends runnable thread `tid` to CPU `cpu`'s run queue. `ready_at`
-    /// is the thread's `ready_at`, final before it is queued (the queue
-    /// caches its earliest entry); every caller has just written or read
-    /// it, which saves a thread-map lookup per wake.
-    pub fn enqueue(&mut self, cpu: usize, tid: Tid, ready_at: u64) {
-        debug_assert_eq!(ready_at, self.threads[&tid].ready_at);
+    /// and `pinned` are the thread's `ready_at` and `affinity.is_some()`,
+    /// final before it is queued (the queue entry carries both); every
+    /// caller has just written or read them, which saves a thread-table
+    /// lookup per wake.
+    pub fn enqueue(&mut self, cpu: usize, tid: Tid, ready_at: u64, pinned: bool) {
+        debug_assert_eq!(
+            (ready_at, pinned),
+            (self.threads[&tid].ready_at, self.threads[&tid].affinity.is_some())
+        );
         let slot = &mut self.cpus[cpu];
-        slot.runq.push_back(tid);
+        slot.runq.push_back(RunqEntry { tid, ready_at, pinned });
         slot.runq_earliest = slot.runq_earliest.min(ready_at);
+    }
+
+    /// Every entry of CPU `cpu`'s run queue agrees with the thread table,
+    /// and `runq_earliest` with the entries. Tier-1 runs this in debug
+    /// builds: any path that edits a queued thread's `ready_at` or
+    /// affinity, or the queue behind the helpers' back, trips it.
+    fn runq_mirrors_threads(&self, cpu: usize) -> bool {
+        let slot = &self.cpus[cpu];
+        slot.runq_earliest == slot.scan_runq_earliest()
+            && slot.runq.iter().all(|e| {
+                let t = &self.threads[&e.tid];
+                (e.ready_at, e.pinned) == (t.ready_at, t.affinity.is_some())
+            })
     }
 
     /// Removes `tid` from whichever run queue holds it.
     fn dequeue(&mut self, tid: Tid) {
         for i in 0..self.cpus.len() {
-            while let Some(pos) = self.cpus[i].runq.iter().position(|t| *t == tid) {
+            while let Some(pos) = self.cpus[i].runq.iter().position(|e| e.tid == tid) {
                 self.dequeue_at(i, pos);
             }
         }
     }
 
-    /// Removes and returns the thread at `pos` of CPU `cpu`'s run queue.
-    fn dequeue_at(&mut self, cpu: usize, pos: usize) -> Tid {
-        let tid = self.cpus[cpu].runq.remove(pos).expect("index valid");
+    /// Removes and returns the entry at `pos` of CPU `cpu`'s run queue.
+    fn dequeue_at(&mut self, cpu: usize, pos: usize) -> RunqEntry {
+        debug_assert!(self.runq_mirrors_threads(cpu));
+        let slot = &mut self.cpus[cpu];
+        let e = slot.runq.remove(pos).expect("index valid");
         // Only the removal of an earliest entry can move the minimum.
-        if self.cpus[cpu].runq.is_empty()
-            || self.threads[&tid].ready_at <= self.cpus[cpu].runq_earliest
-        {
-            self.cpus[cpu].runq_earliest = self.scan_runq_earliest(cpu);
+        if e.ready_at <= slot.runq_earliest {
+            slot.runq_earliest = slot.scan_runq_earliest();
         }
-        tid
-    }
-
-    /// The definition `CpuSlot::runq_earliest` caches.
-    fn scan_runq_earliest(&self, cpu: usize) -> u64 {
-        self.cpus[cpu].runq.iter().map(|t| self.threads[t].ready_at).min().unwrap_or(u64::MAX)
+        e
     }
 
     /// Registers a file in the VFS with a storage class.
@@ -675,11 +708,16 @@ impl Kernel {
         if self.live_threads == 0 {
             return KStep::Finished;
         }
-        // Earliest actionable CPU.
+        // Earliest actionable CPU (lowest index on ties), and the earliest
+        // of the others: the slice's causality bound needs the latter.
         let mut best: Option<(usize, u64)> = None;
+        let mut other_min = u64::MAX;
         for i in 0..self.cpus.len() {
-            if let Some(t) = self.cpu_next_action_time(i) {
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
+            let Some(t) = self.cpu_next_action_time(i) else { continue };
+            match best {
+                Some((_, bt)) if t >= bt => other_min = other_min.min(t),
+                _ => {
+                    other_min = best.map_or(u64::MAX, |(_, bt)| bt);
                     best = Some((i, t));
                 }
             }
@@ -687,8 +725,8 @@ impl Kernel {
         match (best, self.events.peek_time()) {
             (None, None) => KStep::Deadlock,
             (None, Some(_)) => self.process_event(),
-            (Some(_), Some(et)) if et <= best.expect("some").1 => self.process_event(),
-            (Some((i, _)), _) => self.run_cpu(i),
+            (Some((_, bt)), Some(et)) if et <= bt => self.process_event(),
+            (Some((i, _)), _) => self.run_cpu(i, other_min),
         }
     }
 
@@ -733,10 +771,17 @@ impl Kernel {
         if slot.current.is_some() {
             return Some(slot.cpu.cycles);
         }
-        // Tier-1 runs this in debug builds: any path that edits a queued
-        // thread's `ready_at`, or the queue behind the helpers' back, trips it.
-        debug_assert_eq!(slot.runq_earliest, self.scan_runq_earliest(i));
+        debug_assert!(self.runq_mirrors_threads(i));
         (!slot.runq.is_empty()).then(|| slot.runq_earliest.max(slot.cpu.cycles))
+    }
+
+    /// Earliest next action among the CPUs other than `i`.
+    fn other_cpus_min(&self, i: usize) -> u64 {
+        (0..self.cpus.len())
+            .filter(|&j| j != i)
+            .filter_map(|j| self.cpu_next_action_time(j))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     fn process_event(&mut self) -> KStep {
@@ -775,21 +820,30 @@ impl Kernel {
         }
     }
 
-    fn run_cpu(&mut self, i: usize) -> KStep {
+    /// Gives CPU `i` one slice. `other_min` is the earliest next action
+    /// among the other CPUs, as `step_sim` just computed it.
+    fn run_cpu(&mut self, i: usize, mut other_min: u64) -> KStep {
         if self.cpus[i].current.is_none() {
-            self.schedule(i);
+            // A steal edits a sibling's queue, the one thing here that can
+            // move another CPU's next action.
+            if self.schedule(i) {
+                other_min = self.other_cpus_min(i);
+            }
             if self.cpus[i].current.is_none() {
                 // Nothing became runnable (ready_at in the future was the
                 // candidate and got picked by another CPU meanwhile).
                 return KStep::Progress;
             }
         }
+        debug_assert_eq!(other_min, self.other_cpus_min(i));
         let tid = self.cpus[i].current.expect("scheduled above");
+        // The one thread-table lookup of the slice. It stays borrowed across
+        // `Cpu::run`, so everything up to the `cpu_time` update below goes
+        // through fields, not `&self` methods.
+        let t = self.threads.get_mut(&tid).expect("the current thread exists");
 
         // Restart-style blocking syscall: finish it before running user code.
-        if let Some((snr, sargs)) =
-            self.threads.get_mut(&tid).and_then(|t| t.pending_syscall.take())
-        {
+        if let Some((snr, sargs)) = t.pending_syscall.take() {
             return self.handle_syscall(i, tid, snr, sargs, false);
         }
 
@@ -813,11 +867,6 @@ impl Kernel {
         // Causality window: never run further than `sync_window` ahead of
         // the slowest other busy CPU, so cross-CPU shared-memory visibility
         // error stays bounded (spin-style synchronization works).
-        let other_min = (0..self.cpus.len())
-            .filter(|&j| j != i)
-            .filter_map(|j| self.cpu_next_action_time(j))
-            .min()
-            .unwrap_or(u64::MAX);
         let sync_bound = other_min.saturating_add(self.sys.sync_window);
         let deadline = next_ev
             .min(preempt_bound)
@@ -832,9 +881,7 @@ impl Kernel {
         };
         let delta = self.cpus[i].cpu.cycles - start;
         self.cpus[i].breakdown.add(TimeCat::User, delta);
-        if let Some(t) = self.threads.get_mut(&tid) {
-            t.cpu_time += delta;
-        }
+        t.cpu_time += delta;
         let cur_pid = self.current_pid(i);
         if let Some(p) = self.procs.get_mut(&cur_pid) {
             p.cpu_time += delta;
@@ -860,7 +907,8 @@ impl Kernel {
             }
             StepEvent::Ecall => {
                 // Move the ecall microcode cycles from User to SyscallEntry.
-                self.reattribute(i, TimeCat::User, TimeCat::SyscallEntry, self.cost.ecall);
+                let ecall = self.cost.ecall;
+                self.cpus[i].breakdown.move_cycles(TimeCat::User, TimeCat::SyscallEntry, ecall);
                 let snr = self.cpus[i].cpu.reg(reg::A7);
                 let args = [
                     self.cpus[i].cpu.reg(reg::A0),
@@ -930,16 +978,6 @@ impl Kernel {
         }
     }
 
-    fn reattribute(&mut self, cpu: usize, from: TimeCat, to: TimeCat, cycles: u64) {
-        let b = &mut self.cpus[cpu].breakdown;
-        let have = b.get(from).min(cycles);
-        // TimeBreakdown has no subtract; rebuild via since().
-        let mut neg = TimeBreakdown::new();
-        neg.add(from, have);
-        *b = b.since(&neg);
-        b.add(to, have);
-    }
-
     fn runq_has_ready(&self, i: usize, clock: u64) -> bool {
         !self.cpus[i].runq.is_empty() && self.cpus[i].runq_earliest <= clock
     }
@@ -955,10 +993,7 @@ impl Kernel {
             if j == i || !self.runq_has_ready(j, clock) {
                 continue;
             }
-            let pos = self.cpus[j].runq.iter().position(|t| {
-                let t = &self.threads[t];
-                t.ready_at <= clock && t.affinity.is_none()
-            });
+            let pos = self.cpus[j].runq.iter().position(|e| e.ready_at <= clock && !e.pinned);
             if let Some(pos) = pos {
                 let load = self.cpus[j].runq.len();
                 if best.is_none_or(|(l, _, _)| load > l) {
@@ -975,8 +1010,8 @@ impl Kernel {
         let clock = self.cpus[i].cpu.cycles;
         let t = self.threads.get_mut(&tid).expect("exists");
         t.ready_at = clock;
-        let target = t.affinity.unwrap_or(i);
-        self.enqueue(target, tid, clock);
+        let affinity = t.affinity;
+        self.enqueue(affinity.unwrap_or(i), tid, clock, affinity.is_some());
     }
 
     /// Saves the current thread's context and marks it `state`.
@@ -999,7 +1034,8 @@ impl Kernel {
     }
 
     /// Picks and installs the next thread on CPU `i` (or leaves it idle).
-    fn schedule(&mut self, i: usize) {
+    /// Returns true if it took the thread from another CPU's queue.
+    fn schedule(&mut self, i: usize) -> bool {
         let pick_cost = self.sys.sched_pick;
         self.charge(i, TimeCat::Sched, pick_cost);
         let clock = self.cpus[i].cpu.cycles;
@@ -1008,7 +1044,7 @@ impl Kernel {
         // a ready, unpinned thread; otherwise idle-advance to the earliest
         // local ready_at.
         let local = if self.runq_has_ready(i, clock) {
-            self.cpus[i].runq.iter().position(|t| self.threads[t].ready_at <= clock)
+            self.cpus[i].runq.iter().position(|e| e.ready_at <= clock)
         } else {
             None
         };
@@ -1025,22 +1061,18 @@ impl Kernel {
                 }
             }
         }
-        let tid = match stolen {
-            Some(tid) => tid,
+        let RunqEntry { tid, ready_at: ready, .. } = match stolen {
+            Some(e) => e,
             None => {
                 let pos = local.or_else(|| {
-                    let min = self.cpus[i]
-                        .runq
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, t)| self.threads[*t].ready_at)?;
+                    let min =
+                        self.cpus[i].runq.iter().enumerate().min_by_key(|(_, e)| e.ready_at)?;
                     Some(min.0)
                 });
-                let Some(pos) = pos else { return };
+                let Some(pos) = pos else { return false };
                 self.dequeue_at(i, pos)
             }
         };
-        let ready = self.threads[&tid].ready_at;
         if ready > clock {
             let idle = ready - clock;
             self.cpus[i].cpu.cycles = ready;
@@ -1091,20 +1123,21 @@ impl Kernel {
             simtrace::counter("context_switches", 1);
             simtrace::instant(simtrace::Track::Cpu(i), now, format!("run tid{}", tid.0), "sched");
         }
+        stolen.is_some()
     }
 
     /// Makes a blocked thread runnable and routes it to a CPU, sending an
     /// IPI if the target CPU is idle and remote.
     fn make_runnable(&mut self, tid: Tid, at: u64) {
-        let (target, ready_at, was_blocked) = {
-            let t = self.threads.get_mut(&tid).expect("no such thread");
-            let was_blocked = matches!(t.state, ThreadState::Blocked(_));
-            t.state = ThreadState::Runnable;
-            t.ready_at = t.ready_at.max(at);
-            (t.affinity.unwrap_or(t.last_cpu), t.ready_at, was_blocked)
-        };
-        debug_assert!(was_blocked, "make_runnable on non-blocked thread");
-        self.enqueue(target, tid, ready_at);
+        let t = self.threads.get_mut(&tid).expect("no such thread");
+        debug_assert!(
+            matches!(t.state, ThreadState::Blocked(_)),
+            "make_runnable on non-blocked thread"
+        );
+        t.state = ThreadState::Runnable;
+        t.ready_at = t.ready_at.max(at);
+        let (affinity, ready_at, last_cpu) = (t.affinity, t.ready_at, t.last_cpu);
+        self.enqueue(affinity.unwrap_or(last_cpu), tid, ready_at, affinity.is_some());
     }
 
     /// Wakes `tid` from CPU `from` (futex wake, pipe data, …).
@@ -1156,8 +1189,8 @@ impl Kernel {
             let t = self.threads.get_mut(&tid).expect("exists");
             t.ready_at = t.ready_at.max(arrive);
             t.state = ThreadState::Runnable;
-            let ready_at = t.ready_at;
-            self.enqueue(target, tid, ready_at);
+            let (ready_at, pinned) = (t.ready_at, t.affinity.is_some());
+            self.enqueue(target, tid, ready_at, pinned);
         } else {
             self.make_runnable(tid, now);
         }

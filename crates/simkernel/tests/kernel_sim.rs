@@ -138,34 +138,41 @@ fn pipe_ping_pong_clean() {
     assert!(b.get(TimeCat::Dispatch) > 0);
 }
 
+/// `wait(addr)`: until `*addr != 0` futex_wait on it, then reset it to 0.
+fn emit_wait(a: &mut Asm, addr: u8, tag: &str) {
+    let (top, got) = (format!("wait_{tag}"), format!("got_{tag}"));
+    a.label(&top);
+    a.push(Instr::Ld { rd: T0, rs1: addr, imm: 0 });
+    a.bne(T0, ZERO, &got);
+    a.push(Instr::Add { rd: A0, rs1: addr, rs2: ZERO });
+    a.li(A1, 0);
+    sys(a, sysno::FUTEX_WAIT);
+    a.j(&top);
+    a.label(&got);
+    a.push(Instr::St { rs1: addr, rs2: ZERO, imm: 0 });
+}
+
+/// `post(addr)`: `*addr = 1`, wake one waiter.
+fn emit_post(a: &mut Asm, addr: u8) {
+    a.li(T0, 1);
+    a.push(Instr::St { rs1: addr, rs2: T0, imm: 0 });
+    a.push(Instr::Add { rd: A0, rs1: addr, rs2: ZERO });
+    a.li(A1, 1);
+    sys(a, sysno::FUTEX_WAKE);
+}
+
 /// Futex-based semaphore ping-pong between two threads (the paper's "Sem."
 /// primitive), same CPU.
 fn build_futex_pingpong(iters: u64, flag_a: &str, flag_b: &str) -> cdvm::asm::Program {
     let mut a = Asm::new();
 
-    // wait(addr in s0): spin once, else futex_wait, until *addr == 1;
-    // then reset to 0. post(addr in s0): *addr = 1; futex_wake.
     // Main thread (A): post flag_a, wait flag_b, repeat.
     a.li_sym(S0, flag_a);
     a.li_sym(S1, flag_b);
     a.li(S2, iters);
     a.label("loop_a");
-    // post(s0)
-    a.li(T0, 1);
-    a.push(Instr::St { rs1: S0, rs2: T0, imm: 0 });
-    a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
-    a.li(A1, 1);
-    sys(&mut a, sysno::FUTEX_WAKE);
-    // wait(s1)
-    a.label("wait_a");
-    a.push(Instr::Ld { rd: T0, rs1: S1, imm: 0 });
-    a.bne(T0, ZERO, "got_a");
-    a.push(Instr::Add { rd: A0, rs1: S1, rs2: ZERO });
-    a.li(A1, 0);
-    sys(&mut a, sysno::FUTEX_WAIT);
-    a.j("wait_a");
-    a.label("got_a");
-    a.push(Instr::St { rs1: S1, rs2: ZERO, imm: 0 });
+    emit_post(&mut a, S0);
+    emit_wait(&mut a, S1, "a");
     a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
     a.bne(S2, ZERO, "loop_a");
     a.li(A0, 1);
@@ -178,20 +185,8 @@ fn build_futex_pingpong(iters: u64, flag_a: &str, flag_b: &str) -> cdvm::asm::Pr
     a.li_sym(S1, flag_b);
     a.li(S2, iters);
     a.label("loop_b");
-    a.label("wait_b");
-    a.push(Instr::Ld { rd: T0, rs1: S0, imm: 0 });
-    a.bne(T0, ZERO, "got_b");
-    a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
-    a.li(A1, 0);
-    sys(&mut a, sysno::FUTEX_WAIT);
-    a.j("wait_b");
-    a.label("got_b");
-    a.push(Instr::St { rs1: S0, rs2: ZERO, imm: 0 });
-    a.li(T0, 1);
-    a.push(Instr::St { rs1: S1, rs2: T0, imm: 0 });
-    a.push(Instr::Add { rd: A0, rs1: S1, rs2: ZERO });
-    a.li(A1, 1);
-    sys(&mut a, sysno::FUTEX_WAKE);
+    emit_wait(&mut a, S0, "b");
+    emit_post(&mut a, S1);
     a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
     a.bne(S2, ZERO, "loop_b");
     a.li(A0, 2);
@@ -570,4 +565,251 @@ fn many_threads_preempt_and_finish() {
     for (n, tid) in tids.iter().enumerate() {
         assert_eq!(k.threads[tid].exit_code, n as u64);
     }
+}
+
+// ---------------------------------------------------------------------
+// Scheduler regression: a 4-CPU, 256-thread mix pinned to constants.
+// ---------------------------------------------------------------------
+
+/// `s2` rounds of a 16-byte socket exchange on fd `s0`, client or server
+/// order.
+fn emit_sock_rounds(a: &mut Asm, client: bool, tag: &str) {
+    a.push(Instr::Addi { rd: SP, rs1: SP, imm: -16 });
+    a.li(S2, 8);
+    a.label(tag);
+    let order = if client { [sysno::WRITE, sysno::READ] } else { [sysno::READ, sysno::WRITE] };
+    for n in order {
+        a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
+        a.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
+        a.li(A2, 16);
+        sys(a, n);
+    }
+    a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
+    a.bne(S2, ZERO, tag);
+}
+
+/// The guest side of `scheduler_mix`: one entry label per thread kind,
+/// each taking its parameters in a0/a1 and exiting with its kind number.
+fn build_sched_mix() -> cdvm::asm::Program {
+    let mut a = Asm::new();
+    // Futex pair, a0 = the pair's two words: side A posts first.
+    a.label("futex_a");
+    a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
+    a.push(Instr::Addi { rd: S1, rs1: A0, imm: 8 });
+    a.li(S2, 12);
+    a.label("loop_fa");
+    emit_post(&mut a, S0);
+    emit_wait(&mut a, S1, "fa");
+    a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
+    a.bne(S2, ZERO, "loop_fa");
+    a.li(A0, 1);
+    a.push(Instr::Halt);
+    a.label("futex_b");
+    a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
+    a.push(Instr::Addi { rd: S1, rs1: A0, imm: 8 });
+    a.li(S2, 12);
+    a.label("loop_fb");
+    emit_wait(&mut a, S0, "fb");
+    emit_post(&mut a, S1);
+    a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
+    a.bne(S2, ZERO, "loop_fb");
+    a.li(A0, 2);
+    a.push(Instr::Halt);
+    // Yielder, a0 = index: uneven bursts of work between yields.
+    a.label("yielder");
+    a.li(T1, 370);
+    a.push(Instr::Mul { rd: S0, rs1: A0, rs2: T1 });
+    a.push(Instr::Addi { rd: S0, rs1: S0, imm: 3000 });
+    a.li(S2, 20);
+    a.label("loop_y");
+    a.push(Instr::Work { rs1: S0, imm: 0 });
+    sys(&mut a, sysno::YIELD);
+    a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
+    a.bne(S2, ZERO, "loop_y");
+    a.li(A0, 3);
+    a.push(Instr::Halt);
+    // Sleeper, a0 = nanoseconds per nap, a1 = CPU to pin to + 1 (0: none).
+    a.label("sleeper");
+    a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
+    a.beq(A1, ZERO, "unpinned");
+    a.push(Instr::Addi { rd: A0, rs1: A1, imm: -1 });
+    sys(&mut a, sysno::PIN_CPU);
+    a.label("unpinned");
+    a.li(S2, 40);
+    a.label("loop_s");
+    a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
+    sys(&mut a, sysno::SLEEP_NS);
+    a.push(Instr::Work { rs1: 0, imm: 900 });
+    a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
+    a.bne(S2, ZERO, "loop_s");
+    a.li(A0, 4);
+    a.push(Instr::Halt);
+    // Socket client / server, a0 = address of the 2-byte name.
+    a.label("client");
+    a.li(A1, 2);
+    sys(&mut a, sysno::SOCK_CONNECT);
+    a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
+    emit_sock_rounds(&mut a, true, "loop_c");
+    a.li(A0, 5);
+    a.push(Instr::Halt);
+    a.label("server");
+    a.li(A1, 2);
+    sys(&mut a, sysno::SOCK_LISTEN);
+    sys(&mut a, sysno::SOCK_ACCEPT);
+    a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
+    emit_sock_rounds(&mut a, false, "loop_v");
+    a.li(A0, 6);
+    a.push(Instr::Halt);
+    // Parked on a word only the host posts.
+    a.label("parked");
+    a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
+    emit_wait(&mut a, S0, "pk");
+    a.li(A0, 7);
+    a.push(Instr::Halt);
+    a.finish()
+}
+
+/// What a `scheduler_mix` run is pinned to.
+#[derive(Debug, PartialEq, Eq)]
+struct MixPrint {
+    now_max: u64,
+    /// Per CPU, cycles per `TimeCat::ALL` category.
+    breakdown: [[u64; 7]; 4],
+    /// FNV-1a over every thread's `cpu_time` in tid order, and their sum.
+    cpu_time_fnv: u64,
+    cpu_time_sum: u64,
+}
+
+/// 48 futex pairs, 79 yielders, 48 sleepers (a fifth of them `PIN_CPU`
+/// themselves), 16 socket clients against 16 servers in a second process,
+/// one thread parked on a futex; a sixth of the yielders pinned from the
+/// host. Threads start on CPU `tid % 4`, so the spawn order below loads the
+/// CPUs unevenly on purpose (CPU 3 gets yielders only, CPU 1 sleepers and
+/// clients): with stealing on, the CPUs that nap raid the ones that queue.
+/// Part-way through, the host kills the first queued yielder and wakes the
+/// parked thread with a `ready_at` floor.
+fn scheduler_mix(steal: bool) -> MixPrint {
+    let mut k = Kernel::new(KernelConfig { cpus: 4, steal, ..KernelConfig::default() });
+    let mix = k.create_process("mix", false);
+    let srv = k.create_process("srv", false);
+    let prog = build_sched_mix();
+    let img = k.load_program(mix, &prog, &HashMap::new());
+    let simg = k.load_program(srv, &prog, &HashMap::new());
+    let data = k.alloc_mem(mix, 4096, simmem::PageFlags::RW);
+    let sdata = k.alloc_mem(srv, 4096, simmem::PageFlags::RW);
+    let (pt, spt) = (k.procs[&mix].pt, k.procs[&srv].pt);
+    let (names, park) = (2048, 1024);
+    for j in 0..16u64 {
+        for (pt, base) in [(pt, data), (spt, sdata)] {
+            k.mem.kwrite(pt, base + names + 8 * j, &[b's', b'a' + j as u8]).unwrap();
+        }
+    }
+    let mut yielders = Vec::new();
+    let mut parked = None;
+    let mut yielder = |k: &mut Kernel, n: u64| {
+        let t = k.spawn_thread(mix, img.addr("yielder"), &[n]);
+        if n.is_multiple_of(6) {
+            k.pin_thread(t, (n as usize / 6) % 4);
+        }
+        yielders.push(t);
+    };
+    for g in 0..64u64 {
+        if g < 48 {
+            let pin = if g.is_multiple_of(5) { 1 + (g / 5) % 4 } else { 0 };
+            k.spawn_thread(mix, img.addr("sleeper"), &[2000 + 700 * g, pin]);
+            k.spawn_thread(mix, img.addr("futex_a"), &[data + 16 * g]);
+        } else {
+            k.spawn_thread(mix, img.addr("client"), &[data + names + 8 * (g - 48)]);
+            k.spawn_thread(srv, simg.addr("server"), &[sdata + names + 8 * (g - 48)]);
+        }
+        if g == 0 {
+            parked = Some(k.spawn_thread(mix, img.addr("parked"), &[data + park]));
+        } else {
+            yielder(&mut k, g - 1);
+        }
+        if g < 48 {
+            k.spawn_thread(mix, img.addr("futex_b"), &[data + 16 * g]);
+        } else {
+            yielder(&mut k, 15 + g);
+        }
+    }
+    let (park, parked) = (data + park, parked.expect("spawned in the first group"));
+    assert_eq!(k.threads.len(), 256);
+
+    let mut poked = false;
+    loop {
+        match k.step_sim() {
+            simkernel::KStep::Progress => {}
+            simkernel::KStep::Finished => break,
+            other => panic!("unexpected {other:?}"),
+        }
+        if !poked && k.now_max() >= 400_000 {
+            poked = true;
+            let victim = *yielders
+                .iter()
+                .find(|t| k.threads[t].state == simkernel::ThreadState::Runnable)
+                .expect("a yielder is queued");
+            k.kill_thread(victim);
+            k.mem.kwrite_u64(pt, park, 1).unwrap();
+            let at = k.now_max() + 50_000;
+            assert_eq!(k.host_futex_wake_at(pt, park, 1, at), 1);
+        }
+    }
+    assert!(poked);
+    assert_eq!(k.threads[&parked].exit_code, 7);
+
+    let mut tids: Vec<_> = k.threads.keys().copied().collect();
+    tids.sort();
+    let mut print = MixPrint {
+        now_max: k.now_max(),
+        breakdown: [[0; 7]; 4],
+        cpu_time_fnv: 0xcbf2_9ce4_8422_2325,
+        cpu_time_sum: 0,
+    };
+    for (row, slot) in print.breakdown.iter_mut().zip(&k.cpus) {
+        *row = TimeCat::ALL.map(|cat| slot.breakdown.get(cat));
+    }
+    for t in &tids {
+        let ct = k.threads[t].cpu_time;
+        print.cpu_time_fnv = (print.cpu_time_fnv ^ ct).wrapping_mul(0x0000_0100_0000_01b3);
+        print.cpu_time_sum += ct;
+    }
+    print
+}
+
+/// The schedule is a contract: these constants were captured on the commit
+/// before the run queues carried `ready_at` and the kernel tables moved to
+/// `IdMap`. Debug builds also run the queue-cache invariant on every step.
+#[test]
+fn scheduler_mix_matches_pinned_schedule() {
+    let (off, on) = (scheduler_mix(false), scheduler_mix(true));
+    assert_ne!(off, on, "the mix must make the napping CPUs steal");
+    assert_eq!(
+        off,
+        MixPrint {
+            now_max: 19447833,
+            breakdown: [
+                [8900620, 109690, 40742, 727720, 1081700, 240, 2038002],
+                [2971410, 140140, 52052, 626652, 1982640, 240, 1226457],
+                [1071893, 110600, 41080, 1412112, 932110, 38160, 3674634],
+                [16321092, 82670, 30706, 2860, 1269210, 240, 1741055],
+            ],
+            cpu_time_fnv: 5476189045856254906,
+            cpu_time_sum: 29454915,
+        }
+    );
+    assert_eq!(
+        on,
+        MixPrint {
+            now_max: 14651430,
+            breakdown: [
+                [10616856, 105210, 39078, 541500, 1153890, 240, 0],
+                [4582353, 146370, 54366, 623752, 2082850, 240, 0],
+                [2272719, 128660, 47788, 1378632, 1110440, 40080, 1847398],
+                [11793437, 62860, 23348, 2860, 936770, 240, 1831915],
+            ],
+            cpu_time_fnv: 13044312134356463546,
+            cpu_time_sum: 29455265,
+        }
+    );
 }

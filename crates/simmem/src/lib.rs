@@ -17,6 +17,8 @@
 //!   of page tables, which the VM and kernel use for all accesses. It fronts
 //!   the page tables with a host-side translation cache (a pure host-speed
 //!   optimisation, invisible to the simulation).
+//! * [`idmap`] — [`IdMap`], the `HashMap` with a fixed integer hasher under
+//!   the page tables and the kernel's thread, process and futex tables.
 //! * [`fastpath`] — the process-wide `CDVM_NO_FASTPATH` switch controlling
 //!   the host-side caches here and in `cdvm`.
 //!
@@ -25,6 +27,7 @@
 //! processes keep private page tables.
 
 pub mod fastpath;
+pub mod idmap;
 pub mod mem;
 pub mod page;
 pub mod pagetable;
@@ -36,6 +39,7 @@ pub use fastpath::{
     blocks_enabled, fastpath_enabled, set_blocks, set_fastpath, set_threaded, set_xblocks,
     threaded_enabled, xblocks_enabled,
 };
+pub use idmap::IdMap;
 pub use mem::{MemFault, Memory};
 pub use page::{DomainTag, PageFlags, PAGE_SHIFT, PAGE_SIZE};
 pub use pagetable::{PageTable, PageTableId, Pte};

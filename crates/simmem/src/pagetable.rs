@@ -5,8 +5,7 @@
 //! A [`Pte`] therefore carries, beyond the frame mapping and protection
 //! flags, the page's [`DomainTag`].
 
-use std::collections::HashMap;
-
+use crate::idmap::IdMap;
 use crate::page::{vpn, DomainTag, PageFlags};
 use crate::phys::FrameId;
 
@@ -28,7 +27,7 @@ pub struct Pte {
 /// A sparse page table: virtual page number → [`Pte`].
 #[derive(Default)]
 pub struct PageTable {
-    entries: HashMap<u64, Pte>,
+    entries: IdMap<u64, Pte>,
     /// Monotonic generation, bumped on *any* mutation (map, unmap, protect,
     /// set_tag). The host-side translation and decoded-instruction caches
     /// validate against it, so every mapping edit implicitly invalidates

@@ -84,6 +84,15 @@ impl TimeBreakdown {
         self.cycles[cat.idx()] += cycles;
     }
 
+    /// Moves up to `cycles` from `from` to `to` (all of `from` if it holds
+    /// fewer); the total is unchanged.
+    #[inline]
+    pub fn move_cycles(&mut self, from: TimeCat, to: TimeCat, cycles: u64) {
+        let moved = self.cycles[from.idx()].min(cycles);
+        self.cycles[from.idx()] -= moved;
+        self.cycles[to.idx()] += moved;
+    }
+
     /// Cycles in a category.
     pub fn get(&self, cat: TimeCat) -> u64 {
         self.cycles[cat.idx()]
@@ -162,6 +171,32 @@ mod tests {
         m.merge(&a);
         m.merge(&d);
         assert_eq!(m.get(TimeCat::Sched), 20);
+    }
+
+    /// `move_cycles` against the formulation it replaced in the kernel: a
+    /// scratch breakdown holding the clamped amount, `since()` as the
+    /// subtraction, then `add`.
+    #[test]
+    fn move_cycles_matches_since_and_add() {
+        let mut start = TimeBreakdown::new();
+        for (i, cat) in TimeCat::ALL.iter().enumerate() {
+            start.add(*cat, 100 * (i as u64 + 1));
+        }
+        for from in TimeCat::ALL {
+            for to in TimeCat::ALL {
+                for n in [0, 1, 99, 100 * (from.idx() as u64 + 1), 5000, u64::MAX] {
+                    let have = start.get(from).min(n);
+                    let mut neg = TimeBreakdown::new();
+                    neg.add(from, have);
+                    let mut old = start.since(&neg);
+                    old.add(to, have);
+                    let mut new = start;
+                    new.move_cycles(from, to, n);
+                    assert_eq!(new, old, "{from:?} -> {to:?}, n = {n}");
+                    assert_eq!(new.total(), start.total());
+                }
+            }
+        }
     }
 
     #[test]
