@@ -507,17 +507,8 @@ impl BlockCache {
     /// Creates an empty cache.
     pub fn new() -> BlockCache {
         let empty = || Slot { block: None, seq: 0, hints: [None; 2], last: 0, cross: None };
-        BlockCache { slots: (0..ENTRIES).map(|_| empty()).collect(), ..Self::hollow() }
-    }
-
-    /// A zero-capacity placeholder, used to detach the real cache from the
-    /// CPU for the duration of block dispatch (so block bodies can be
-    /// borrowed from it while the CPU stays mutably borrowable). Any
-    /// lookup or insert on it would panic; the dispatch loop never lets
-    /// one escape.
-    pub(crate) fn hollow() -> BlockCache {
         BlockCache {
-            slots: Vec::new(),
+            slots: (0..ENTRIES).map(|_| empty()).collect(),
             seq: 0,
             tick: 0,
             stats: BlockStats::default(),

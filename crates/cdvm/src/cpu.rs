@@ -155,8 +155,10 @@ pub struct Cpu {
     /// through [`Cpu::run`]; direct [`Cpu::step`] callers always take the
     /// per-instruction path.
     blocks: bool,
-    /// Superblock cache (host fast path; see [`crate::blocks`]).
-    bcache: BlockCache,
+    /// Superblock cache (host fast path; see [`crate::blocks`]). Boxed so
+    /// that [`Cpu::run`] detaches it for a dispatch run by moving one
+    /// pointer; `None` only inside that run.
+    bcache: Option<Box<BlockCache>>,
     /// Whether block-edge crossing descriptors and the memory-operand
     /// translation cache are in use (sampled from
     /// [`simmem::xblocks_enabled`] at construction).
@@ -166,6 +168,8 @@ pub struct Cpu {
     threaded: bool,
     /// Per-CPU memory-operand translation cache (see [`crate::dcache`]).
     dcache: DCache,
+    /// Bounce buffer of `MemCpy`/`MemSet`, kept for its capacity.
+    bulk: Vec<u8>,
     /// Cache-counter snapshot at the last simtrace export, so each
     /// [`Cpu::run`] emits deltas.
     reported: HostCacheStats,
@@ -232,10 +236,11 @@ impl Cpu {
             fastpath: simmem::fastpath_enabled(),
             icache: InstrCache::new(),
             blocks: simmem::blocks_enabled(),
-            bcache: BlockCache::new(),
+            bcache: Some(Box::new(BlockCache::new())),
             xblocks: simmem::xblocks_enabled(),
             threaded: simmem::threaded_enabled(),
             dcache: DCache::new(),
+            bulk: Vec::new(),
             reported: HostCacheStats::default(),
         }
     }
@@ -256,14 +261,14 @@ impl Cpu {
 
     /// Host-side superblock-cache counters.
     pub fn block_stats(&self) -> BlockStats {
-        self.bcache.stats()
+        self.bcache.as_ref().expect("attached outside Cpu::run").stats()
     }
 
     /// The full host-side cache counter set (icache + block cache +
     /// crossing descriptors + data-operand translation cache).
     pub fn host_cache_stats(&self) -> HostCacheStats {
         let (icache_hits, icache_misses, icache_fills, icache_evicts) = self.icache.full_stats();
-        let b = self.bcache.stats();
+        let b = self.block_stats();
         let (dcache_hits, dcache_misses) = self.dcache.stats();
         HostCacheStats {
             icache_hits,
@@ -284,40 +289,35 @@ impl Cpu {
         }
     }
 
-    /// Refreshes [`ExecStats::caches`] from the live cache counters and,
-    /// while tracing, exports the deltas since the previous export as
+    /// Exports the cache-counter deltas since the previous export as
     /// `host.*` simtrace counters (these appear only in the metrics
     /// summary, never in the Chrome/folded trace streams). Called at the
-    /// end of every [`Cpu::run`].
-    #[inline]
-    fn sync_cache_stats(&mut self) {
+    /// end of every traced [`Cpu::run`].
+    fn export_cache_stats(&mut self) {
         let now = self.host_cache_stats();
-        self.exec_stats.caches = now;
-        if self.instrument {
-            let d = now.delta(&self.reported);
-            for (name, v) in [
-                ("host.icache_hits", d.icache_hits),
-                ("host.icache_misses", d.icache_misses),
-                ("host.icache_fills", d.icache_fills),
-                ("host.icache_evicts", d.icache_evicts),
-                ("host.block_hits", d.block_hits),
-                ("host.block_misses", d.block_misses),
-                ("host.block_fills", d.block_fills),
-                ("host.block_evicts", d.block_evicts),
-                ("host.block_evict_conflict", d.block_evict_conflicts),
-                ("host.block_chains", d.block_chains),
-                ("host.block_bails", d.block_bails),
-                ("host.cross_hits", d.cross_hits),
-                ("host.cross_misses", d.cross_misses),
-                ("host.dcache_hits", d.dcache_hits),
-                ("host.dcache_misses", d.dcache_misses),
-            ] {
-                if v > 0 {
-                    simtrace::counter(name, v);
-                }
+        let d = now.delta(&self.reported);
+        for (name, v) in [
+            ("host.icache_hits", d.icache_hits),
+            ("host.icache_misses", d.icache_misses),
+            ("host.icache_fills", d.icache_fills),
+            ("host.icache_evicts", d.icache_evicts),
+            ("host.block_hits", d.block_hits),
+            ("host.block_misses", d.block_misses),
+            ("host.block_fills", d.block_fills),
+            ("host.block_evicts", d.block_evicts),
+            ("host.block_evict_conflict", d.block_evict_conflicts),
+            ("host.block_chains", d.block_chains),
+            ("host.block_bails", d.block_bails),
+            ("host.cross_hits", d.cross_hits),
+            ("host.cross_misses", d.cross_misses),
+            ("host.dcache_hits", d.dcache_hits),
+            ("host.dcache_misses", d.dcache_misses),
+        ] {
+            if v > 0 {
+                simtrace::counter(name, v);
             }
-            self.reported = now;
         }
+        self.reported = now;
     }
 
     /// Reads a register (x0 reads as zero).
@@ -356,7 +356,9 @@ impl Cpu {
         } else {
             self.run_interp(mem, rev, cost, deadline)
         };
-        self.sync_cache_stats();
+        if self.instrument {
+            self.export_cache_stats();
+        }
         exit
     }
 
@@ -396,9 +398,9 @@ impl Cpu {
         // Detach the block cache from the CPU for the whole dispatch run:
         // blocks are then borrowed *in place* from the detached cache while
         // `self` stays mutably borrowable.
-        let mut bcache = std::mem::replace(&mut self.bcache, BlockCache::hollow());
+        let mut bcache = self.bcache.take().expect("Cpu::run is not re-entered");
         let exit = self.run_blocks_detached(&mut bcache, mem, rev, cost, deadline);
-        self.bcache = bcache;
+        self.bcache = Some(bcache);
         exit
     }
 
@@ -1125,9 +1127,13 @@ impl Cpu {
                     if let Err(ev) = self.data_access(mem, rev, cost, dst, len, true) {
                         return ev;
                     }
-                    let mut buf = vec![0u8; len as usize];
-                    mem.kread(self.active_pt, src, &mut buf).expect("checked");
-                    mem.kwrite(self.active_pt, dst, &buf).expect("checked");
+                    // All of the source is read before any of the
+                    // destination is written, so overlapping ranges copy
+                    // the original bytes.
+                    self.bulk.clear();
+                    self.bulk.resize(len as usize, 0);
+                    mem.kread(self.active_pt, src, &mut self.bulk).expect("checked");
+                    mem.kwrite(self.active_pt, dst, &self.bulk).expect("checked");
                     self.cycles += cost.copy_cycles(len);
                     if self.instrument {
                         simtrace::counter("bytes_copied_user", len);
@@ -1141,8 +1147,9 @@ impl Cpu {
                     if let Err(ev) = self.data_access(mem, rev, cost, dst, len, true) {
                         return ev;
                     }
-                    let buf = vec![(self.reg(rs1) & 0xff) as u8; len as usize];
-                    mem.kwrite(self.active_pt, dst, &buf).expect("checked");
+                    self.bulk.clear();
+                    self.bulk.resize(len as usize, (self.reg(rs1) & 0xff) as u8);
+                    mem.kwrite(self.active_pt, dst, &self.bulk).expect("checked");
                     self.cycles += cost.copy_cycles(len);
                 }
             }

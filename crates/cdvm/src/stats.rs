@@ -97,9 +97,9 @@ impl InstrClass {
 /// Host-side cache counters for the two fetch fast paths: the per-page
 /// decoded-instruction cache ([`crate::icache`]) and the superblock cache
 /// ([`crate::blocks`]). Pure host telemetry — none of these influence
-/// simulated cycles. Refreshed into [`ExecStats::caches`] at the end of
-/// every `Cpu::run`, and exported to the simtrace metrics summary as
-/// `host.*` counters while tracing is enabled.
+/// simulated cycles. Read on demand with `Cpu::host_cache_stats`, and
+/// exported to the simtrace metrics summary as `host.*` counters at the
+/// end of every `Cpu::run` while tracing is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostCacheStats {
     /// Decoded-instruction-cache lookups served.
@@ -202,12 +202,10 @@ impl HostCacheStats {
     }
 }
 
-/// Per-class retirement counters, plus the host-side cache counters.
+/// Per-class retirement counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     counts: [u64; 6],
-    /// Host-side fetch-cache counters (see [`HostCacheStats`]).
-    pub caches: HostCacheStats,
 }
 
 impl ExecStats {

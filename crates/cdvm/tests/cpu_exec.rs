@@ -154,6 +154,55 @@ fn memcpy_moves_and_charges() {
     assert!(buf.iter().all(|&b| b == 0xab));
 }
 
+#[test]
+fn overlapping_memcpy_copies_the_original_bytes() {
+    // `MemCpy` reads all of the source before it writes any of the
+    // destination, so overlapping ranges behave like `memmove` in both
+    // directions, page boundary or not; and the bulk buffer the CPU keeps
+    // across instructions never leaks a longer, earlier transfer into a
+    // shorter, later one.
+    let span = 3 * PAGE_SIZE as usize;
+    let init: Vec<u8> = (0..span).map(|k| (k * 13 + k / 256) as u8).collect();
+    let edge = PAGE_SIZE as usize - 300;
+    // (dst, src, len) as offsets from DATA; a `None` source is a MemSet.
+    let ops = [
+        (edge + 100, Some(edge), 600),         // dst > src, across the boundary
+        (2 * edge - 100, Some(2 * edge), 600), // dst < src, across the next one
+        (40, Some(8), 50),                     // shorter than what the buffer held
+        (PAGE_SIZE as usize - 20, None, 40),   // MemSet across the boundary
+        (edge + 7, Some(PAGE_SIZE as usize - 30), 35),
+    ];
+    let mut a = Asm::new();
+    a.li(A5, 0xc3);
+    let mut want = init.clone();
+    for (dst, src, len) in ops {
+        a.li(T1, DATA + dst as u64);
+        a.li(T2, len as u64);
+        match src {
+            Some(src) => {
+                a.li(T0, DATA + src as u64);
+                a.push(Instr::MemCpy { rd: T1, rs1: T0, rs2: T2 });
+                want.copy_within(src..src + len, dst);
+            }
+            None => {
+                a.push(Instr::MemSet { rd: T1, rs1: A5, rs2: T2 });
+                want[dst..dst + len].fill(0xc3);
+            }
+        }
+    }
+    a.push(Instr::Halt);
+    let mut env = Env::new(&a.finish().bytes);
+    env.mem.kwrite(Memory::GLOBAL_PT, DATA, &init).unwrap();
+    assert_eq!(env.run(), StepEvent::Halt);
+    let mut got = vec![0u8; span];
+    env.mem.read(Memory::GLOBAL_PT, DATA, &mut got).unwrap();
+    assert!(
+        got == want,
+        "first difference at {:?}",
+        got.iter().zip(&want).position(|(g, w)| g != w)
+    );
+}
+
 /// Cross-domain scenario: domain 1 calls into domain 2 through an aligned
 /// entry point with Call permission; direct data access is denied, but a
 /// capability passes a buffer by reference.

@@ -37,7 +37,7 @@ use simmem::{DomainTag, GlobalVas, IdMap, Memory, PageFlags, PageTableId, ProcLa
 use crate::accounting::{TimeBreakdown, TimeCat};
 use crate::costs::SysCosts;
 use crate::event::{Event, EventQueue};
-use crate::object::{KObject, Listener, Pipe, Shm, Sock, Storage, VFile};
+use crate::object::{drain_into, KObject, Listener, Pipe, Shm, Sock, Storage, VFile};
 use crate::percpu;
 use crate::process::{BlockReason, Pid, Process, Thread, ThreadCtx, ThreadState, Tid};
 use crate::syscall::{err, errno, nr};
@@ -278,6 +278,9 @@ pub struct Kernel {
     /// domains; see [`crate::checker`]). A restricted process's denied
     /// syscalls bounce to the embedder as [`KStep::UnknownSyscall`].
     pub syscall_filters: crate::checker::SyscallFilters,
+    /// Bounce buffer of the pipe and socket copy paths (the kernel-side
+    /// staging of `copy_{to,from}_user`), kept for its capacity.
+    bounce: Vec<u8>,
     next_pid: u64,
     next_tid: u64,
     kshared_next: u64,
@@ -338,6 +341,7 @@ impl Kernel {
             disk_busy_until: 0,
             live_threads: 0,
             syscall_filters: crate::checker::SyscallFilters::default(),
+            bounce: Vec::new(),
             next_pid: 1,
             next_tid: 1,
             kshared_next,
@@ -1019,14 +1023,12 @@ impl Kernel {
         let tid = self.cpus[i].current.take().expect("a thread is running");
         let c = self.sys.ctx_save;
         self.charge(i, TimeCat::Sched, c);
-        let slot = &self.cpus[i];
-        let ctx = ThreadCtx::save(&slot.cpu);
-        let base = slot.percpu_base;
+        let base = self.cpus[i].percpu_base;
         let kcs_top =
             self.mem.kread_u64(Memory::GLOBAL_PT, base + percpu::KCS_TOP).expect("percpu mapped");
         let cur_pid = self.current_pid(i);
         let t = self.threads.get_mut(&tid).expect("exists");
-        t.ctx = ctx;
+        t.ctx.save(&self.cpus[i].cpu);
         t.kcs_top = kcs_top;
         t.cur_pid = cur_pid;
         t.last_cpu = i;
@@ -1085,34 +1087,10 @@ impl Kernel {
         // Restore context.
         let c = self.sys.ctx_restore + self.cost.ctxsw_pollution;
         self.charge(i, TimeCat::Sched, c);
-        let (ctx, kcs_top, kcs_base, kcs_limit, proc_cache, cur_pid) = {
-            let t = &self.threads[&tid];
-            (t.ctx.clone(), t.kcs_top, t.kcs_base, t.kcs_limit, t.proc_cache, t.cur_pid)
-        };
-        // Page-table switch if the incoming thread lives in another table.
-        if ctx.active_pt != self.cpus[i].cpu.active_pt {
-            let c = self.cost.pt_switch;
-            self.charge(i, TimeCat::PtSwitch, c);
-            self.cpus[i].cpu.itlb.flush();
-            self.cpus[i].cpu.dtlb.flush();
-        }
-        ctx.restore(&mut self.cpus[i].cpu);
-        self.cpus[i].cpu.thread = tid.0;
-
+        self.load_thread(i, tid);
         // Per-process bookkeeping (the `current` switch, fd table pointer).
         let c = self.sys.proc_switch;
         self.charge(i, TimeCat::Sched, c);
-        let base = self.cpus[i].percpu_base;
-        for (off, v) in [
-            (percpu::CUR_PID, cur_pid.0),
-            (percpu::CUR_TID, tid.0),
-            (percpu::KCS_TOP, kcs_top),
-            (percpu::KCS_BASE, kcs_base),
-            (percpu::KCS_LIMIT, kcs_limit),
-            (percpu::PROC_CACHE, proc_cache),
-        ] {
-            self.mem.kwrite_u64(Memory::GLOBAL_PT, base + off, v).expect("percpu mapped");
-        }
 
         let t = self.threads.get_mut(&tid).expect("exists");
         t.state = ThreadState::Running(i);
@@ -1124,6 +1102,34 @@ impl Kernel {
             simtrace::instant(simtrace::Track::Cpu(i), now, format!("run tid{}", tid.0), "sched");
         }
         stolen.is_some()
+    }
+
+    /// Loads `tid`'s saved context and per-CPU words onto CPU `i`, straight
+    /// from the thread's slot, paying the page-table switch if the thread
+    /// lives in another table.
+    fn load_thread(&mut self, i: usize, tid: Tid) {
+        let t = &self.threads[&tid];
+        let pt = t.ctx.active_pt;
+        let words = [
+            (percpu::CUR_PID, t.cur_pid.0),
+            (percpu::CUR_TID, tid.0),
+            (percpu::KCS_TOP, t.kcs_top),
+            (percpu::KCS_BASE, t.kcs_base),
+            (percpu::KCS_LIMIT, t.kcs_limit),
+            (percpu::PROC_CACHE, t.proc_cache),
+        ];
+        if pt != self.cpus[i].cpu.active_pt {
+            let c = self.cost.pt_switch;
+            self.charge(i, TimeCat::PtSwitch, c);
+            self.cpus[i].cpu.itlb.flush();
+            self.cpus[i].cpu.dtlb.flush();
+        }
+        self.threads[&tid].ctx.restore(&mut self.cpus[i].cpu);
+        self.cpus[i].cpu.thread = tid.0;
+        let base = self.cpus[i].percpu_base;
+        for (off, v) in words {
+            self.mem.kwrite_u64(Memory::GLOBAL_PT, base + off, v).expect("percpu mapped");
+        }
     }
 
     /// Makes a blocked thread runnable and routes it to a CPU, sending an
@@ -1511,17 +1517,14 @@ impl Kernel {
                     self.pipes[id].read_waiters.push(tid);
                     return SysResult::Block(BlockReason::PipeRead(id));
                 }
-                let data = self.pipes[id].read(len);
+                let n = self.pipes[id].read(len, &mut self.bounce);
                 let pt = self.user_pt(i);
-                if self.mem.kwrite(pt, buf, &data).is_err() {
+                if self.mem.kwrite(pt, buf, &self.bounce).is_err() {
                     return SysResult::Ret(err(errno::EFAULT));
                 }
-                self.charge_kcopy(i, data.len() as u64);
-                let waiters = std::mem::take(&mut self.pipes[id].write_waiters);
-                for w in waiters {
-                    self.wake_if_blocked(w, BlockReason::PipeWrite(id), i);
-                }
-                SysResult::Ret(data.len() as u64)
+                self.charge_kcopy(i, n as u64);
+                self.wake_all(|k| &mut k.pipes[id].write_waiters, BlockReason::PipeWrite(id), i);
+                SysResult::Ret(n as u64)
             }
             KObject::Sock(id) => {
                 if simtrace::enabled() {
@@ -1538,19 +1541,15 @@ impl Kernel {
                     self.socks[id].recv_waiters.push(tid);
                     return SysResult::Block(BlockReason::SockRecv(id));
                 }
-                let n = len.min(self.socks[id].rx.len());
-                let data: Vec<u8> = self.socks[id].rx.drain(..n).collect();
+                let n = drain_into(&mut self.socks[id].rx, len, &mut self.bounce);
                 let pt = self.user_pt(i);
-                if self.mem.kwrite(pt, buf, &data).is_err() {
+                if self.mem.kwrite(pt, buf, &self.bounce).is_err() {
                     return SysResult::Ret(err(errno::EFAULT));
                 }
                 self.charge_kcopy(i, n as u64);
                 // Senders blocked because *our* receive buffer was full park
                 // on our end's send_waiters (see sys_write).
-                let waiters = std::mem::take(&mut self.socks[id].send_waiters);
-                for w in waiters {
-                    self.wake_if_blocked(w, BlockReason::SockSend(id), i);
-                }
+                self.wake_all(|k| &mut k.socks[id].send_waiters, BlockReason::SockSend(id), i);
                 SysResult::Ret(n as u64)
             }
             _ => SysResult::Ret(err(errno::EBADF)),
@@ -1578,16 +1577,14 @@ impl Kernel {
                     return SysResult::Block(BlockReason::PipeWrite(id));
                 }
                 let n = room.min(len);
-                let mut data = vec![0u8; n];
-                if self.mem.kread(pt, buf, &mut data).is_err() {
+                self.bounce.clear();
+                self.bounce.resize(n, 0);
+                if self.mem.kread(pt, buf, &mut self.bounce).is_err() {
                     return SysResult::Ret(err(errno::EFAULT));
                 }
                 self.charge_kcopy(i, n as u64);
-                self.pipes[id].write(&data);
-                let waiters = std::mem::take(&mut self.pipes[id].read_waiters);
-                for w in waiters {
-                    self.wake_if_blocked(w, BlockReason::PipeRead(id), i);
-                }
+                self.pipes[id].write(&self.bounce);
+                self.wake_all(|k| &mut k.pipes[id].read_waiters, BlockReason::PipeRead(id), i);
                 SysResult::Ret(n as u64)
             }
             KObject::Sock(id) => {
@@ -1607,16 +1604,14 @@ impl Kernel {
                     return SysResult::Block(BlockReason::SockSend(peer));
                 }
                 let n = room.min(len);
-                let mut data = vec![0u8; n];
-                if self.mem.kread(pt, buf, &mut data).is_err() {
+                self.bounce.clear();
+                self.bounce.resize(n, 0);
+                if self.mem.kread(pt, buf, &mut self.bounce).is_err() {
                     return SysResult::Ret(err(errno::EFAULT));
                 }
                 self.charge_kcopy(i, n as u64);
-                self.socks[peer].rx.extend(data);
-                let waiters = std::mem::take(&mut self.socks[peer].recv_waiters);
-                for w in waiters {
-                    self.wake_if_blocked(w, BlockReason::SockRecv(peer), i);
-                }
+                self.socks[peer].rx.extend(&self.bounce);
+                self.wake_all(|k| &mut k.socks[peer].recv_waiters, BlockReason::SockRecv(peer), i);
                 SysResult::Ret(n as u64)
             }
             _ => SysResult::Ret(err(errno::EBADF)),
@@ -1634,17 +1629,11 @@ impl Kernel {
         match obj {
             KObject::PipeRead(id) => {
                 self.pipes[id].readers -= 1;
-                let waiters = std::mem::take(&mut self.pipes[id].write_waiters);
-                for w in waiters {
-                    self.wake_if_blocked(w, BlockReason::PipeWrite(id), i);
-                }
+                self.wake_all(|k| &mut k.pipes[id].write_waiters, BlockReason::PipeWrite(id), i);
             }
             KObject::PipeWrite(id) => {
                 self.pipes[id].writers -= 1;
-                let waiters = std::mem::take(&mut self.pipes[id].read_waiters);
-                for w in waiters {
-                    self.wake_if_blocked(w, BlockReason::PipeRead(id), i);
-                }
+                self.wake_all(|k| &mut k.pipes[id].read_waiters, BlockReason::PipeRead(id), i);
             }
             KObject::Sock(id) => {
                 self.socks[id].closed = true;
@@ -1653,15 +1642,13 @@ impl Kernel {
                 // (they will observe EPIPE on restart).
                 let peer = self.socks[id].peer;
                 if peer != usize::MAX {
-                    let waiters = std::mem::take(&mut self.socks[peer].recv_waiters);
-                    for w in waiters {
-                        self.wake_if_blocked(w, BlockReason::SockRecv(peer), i);
-                    }
+                    self.wake_all(
+                        |k| &mut k.socks[peer].recv_waiters,
+                        BlockReason::SockRecv(peer),
+                        i,
+                    );
                 }
-                let waiters = std::mem::take(&mut self.socks[id].send_waiters);
-                for w in waiters {
-                    self.wake_if_blocked(w, BlockReason::SockSend(id), i);
-                }
+                self.wake_all(|k| &mut k.socks[id].send_waiters, BlockReason::SockSend(id), i);
             }
             KObject::Listener(id) => {
                 self.listeners[id].closed = true;
@@ -1791,6 +1778,23 @@ impl Kernel {
         }
     }
 
+    /// Wakes every thread parked on a waiter list for `reason`, emptying
+    /// the list. Waking only enqueues, never parks, so the drained `Vec`
+    /// goes back to its (still empty) list and keeps its capacity.
+    fn wake_all(
+        &mut self,
+        list: impl Fn(&mut Kernel) -> &mut Vec<Tid>,
+        reason: BlockReason,
+        from: usize,
+    ) {
+        let mut waiters = std::mem::take(list(self));
+        for &w in &waiters {
+            self.wake_if_blocked(w, reason, from);
+        }
+        waiters.clear();
+        *list(self) = waiters;
+    }
+
     fn read_user_string(&self, i: usize, ptr: u64, len: u64) -> Option<String> {
         if len > 4096 {
             return None;
@@ -1857,10 +1861,7 @@ impl Kernel {
         self.socks[client].peer = server;
         self.socks[server].peer = client;
         self.listeners[lid].backlog.push_back(server);
-        let waiters = std::mem::take(&mut self.listeners[lid].accept_waiters);
-        for w in waiters {
-            self.wake_if_blocked(w, BlockReason::Accept(lid), i);
-        }
+        self.wake_all(|k| &mut k.listeners[lid].accept_waiters, BlockReason::Accept(lid), i);
         let pid = self.current_pid(i);
         let fd = self.procs.get_mut(&pid).expect("exists").add_fd(KObject::Sock(client));
         SysResult::Ret(fd.0 as u64)
@@ -2091,29 +2092,7 @@ impl Kernel {
         self.dequeue(tid);
         let c = self.sys.ctx_restore;
         self.charge(i, TimeCat::Sched, c);
-        let (ctx, kcs_top, kcs_base, kcs_limit, proc_cache, cur_pid) = {
-            let t = &self.threads[&tid];
-            (t.ctx.clone(), t.kcs_top, t.kcs_base, t.kcs_limit, t.proc_cache, t.cur_pid)
-        };
-        if ctx.active_pt != self.cpus[i].cpu.active_pt {
-            let c = self.cost.pt_switch;
-            self.charge(i, TimeCat::PtSwitch, c);
-            self.cpus[i].cpu.itlb.flush();
-            self.cpus[i].cpu.dtlb.flush();
-        }
-        ctx.restore(&mut self.cpus[i].cpu);
-        self.cpus[i].cpu.thread = tid.0;
-        let base = self.cpus[i].percpu_base;
-        for (off, v) in [
-            (percpu::CUR_PID, cur_pid.0),
-            (percpu::CUR_TID, tid.0),
-            (percpu::KCS_TOP, kcs_top),
-            (percpu::KCS_BASE, kcs_base),
-            (percpu::KCS_LIMIT, kcs_limit),
-            (percpu::PROC_CACHE, proc_cache),
-        ] {
-            self.mem.kwrite_u64(Memory::GLOBAL_PT, base + off, v).expect("percpu mapped");
-        }
+        self.load_thread(i, tid);
         let t = self.threads.get_mut(&tid).expect("exists");
         t.state = ThreadState::Running(i);
         t.ready_at = 0;
@@ -2136,10 +2115,7 @@ impl Kernel {
             return SysResult::Ret(err(errno::EPIPE));
         }
         self.socks[peer].fd_queue.push_back(obj);
-        let waiters = std::mem::take(&mut self.socks[peer].recv_waiters);
-        for w in waiters {
-            self.wake_if_blocked(w, BlockReason::SockRecv(peer), i);
-        }
+        self.wake_all(|k| &mut k.socks[peer].recv_waiters, BlockReason::SockRecv(peer), i);
         SysResult::Ret(0)
     }
 

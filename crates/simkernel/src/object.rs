@@ -45,6 +45,20 @@ pub enum KObject {
     },
 }
 
+/// Moves the first `len` bytes of `ring` (all of it, if shorter) into `out`,
+/// replacing its contents, as one slice copy per half of the ring. Returns
+/// the number of bytes moved.
+pub fn drain_into(ring: &mut VecDeque<u8>, len: usize, out: &mut Vec<u8>) -> usize {
+    let n = len.min(ring.len());
+    let (front, back) = ring.as_slices();
+    let head = n.min(front.len());
+    out.clear();
+    out.extend_from_slice(&front[..head]);
+    out.extend_from_slice(&back[..n - head]);
+    ring.drain(..n);
+    n
+}
+
 /// Default pipe capacity (64 KiB, like Linux).
 pub const PIPE_CAPACITY: usize = 64 * 1024;
 
@@ -86,10 +100,10 @@ impl Pipe {
         n
     }
 
-    /// Reads up to `len` bytes.
-    pub fn read(&mut self, len: usize) -> Vec<u8> {
-        let n = len.min(self.buf.len());
-        self.buf.drain(..n).collect()
+    /// Reads up to `len` bytes into `out` (replacing its contents);
+    /// returns bytes read.
+    pub fn read(&mut self, len: usize, out: &mut Vec<u8>) -> usize {
+        drain_into(&mut self.buf, len, out)
     }
 
     /// End-of-file: no writers and empty.
@@ -199,10 +213,11 @@ mod tests {
     #[test]
     fn pipe_write_read_fifo() {
         let mut p = Pipe::new();
+        let mut out = Vec::new();
         assert_eq!(p.write(b"hello"), 5);
-        assert_eq!(p.read(2), b"he");
-        assert_eq!(p.read(10), b"llo");
-        assert!(p.read(1).is_empty());
+        assert_eq!((p.read(2, &mut out), &out[..]), (2, &b"he"[..]));
+        assert_eq!((p.read(10, &mut out), &out[..]), (3, &b"llo"[..]));
+        assert_eq!((p.read(1, &mut out), &out[..]), (0, &b""[..]));
     }
 
     #[test]
@@ -211,7 +226,7 @@ mod tests {
         p.capacity = 4;
         assert_eq!(p.write(b"abcdef"), 4);
         assert_eq!(p.write(b"x"), 0);
-        p.read(2);
+        p.read(2, &mut Vec::new());
         assert_eq!(p.write(b"xy"), 2);
     }
 
@@ -221,7 +236,7 @@ mod tests {
         p.write(b"z");
         p.writers = 0;
         assert!(!p.eof(), "buffered data readable after writer close");
-        p.read(1);
+        p.read(1, &mut Vec::new());
         assert!(p.eof());
     }
 

@@ -91,17 +91,15 @@ impl ThreadCtx {
         }
     }
 
-    /// Captures a CPU's state.
-    pub fn save(cpu: &Cpu) -> ThreadCtx {
-        ThreadCtx {
-            regs: cpu.regs,
-            pc: cpu.pc,
-            caps: cpu.caps,
-            dcs: cpu.dcs,
-            cur_dom: cpu.cur_dom,
-            kernel_mode: cpu.kernel_mode,
-            active_pt: cpu.active_pt,
-        }
+    /// Captures a CPU's state, in place.
+    pub fn save(&mut self, cpu: &Cpu) {
+        self.regs = cpu.regs;
+        self.pc = cpu.pc;
+        self.caps = cpu.caps;
+        self.dcs = cpu.dcs;
+        self.cur_dom = cpu.cur_dom;
+        self.kernel_mode = cpu.kernel_mode;
+        self.active_pt = cpu.active_pt;
     }
 
     /// Restores into a CPU.
@@ -257,7 +255,8 @@ mod tests {
         cpu.pc = 0x1234;
         cpu.regs[5] = 99;
         cpu.cur_dom = DomainTag(7);
-        let ctx = ThreadCtx::save(&cpu);
+        let mut ctx = ThreadCtx::at(0, cpu.active_pt, DomainTag::KERNEL);
+        ctx.save(&cpu);
         let mut cpu2 = Cpu::new(1);
         ctx.restore(&mut cpu2);
         assert_eq!(cpu2.pc, 0x1234);

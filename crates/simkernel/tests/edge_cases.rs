@@ -211,3 +211,53 @@ fn sleep_orders_multiple_timers() {
     let pt = k.procs[&pid].pt;
     assert_eq!(k.mem.kread_u64(pt, log).unwrap(), 231, "wake order 2,3,1");
 }
+
+#[test]
+fn read_into_half_mapped_buffer_is_efault_and_consumes_the_bytes() {
+    // The ring gives up its bytes before the copy-out, and the copy-out
+    // validates the whole user range before it writes any of it: a read
+    // whose buffer runs off the end of a mapping fails with EFAULT, the
+    // bytes are gone, and the mapped part of the buffer is untouched.
+    use simkernel::object::{KObject, Pipe, Sock};
+    for sock in [false, true] {
+        let mut k = Kernel::new(KernelConfig { cpus: 1, ..KernelConfig::default() });
+        let pid = k.create_process("p", false);
+        let (wobj, robj) = if sock {
+            k.socks.push(Sock { peer: 1, ..Sock::new() });
+            k.socks.push(Sock { peer: 0, ..Sock::new() });
+            (KObject::Sock(0), KObject::Sock(1))
+        } else {
+            k.pipes.push(Pipe::new());
+            (KObject::PipeWrite(0), KObject::PipeRead(0))
+        };
+        let proc = k.procs.get_mut(&pid).unwrap();
+        let (wfd, rfd) = (proc.add_fd(wobj).0, proc.add_fd(robj).0);
+        let pt = proc.pt;
+        let src = k.alloc_mem(pid, 4096, simmem::PageFlags::RW);
+        let dst = k.alloc_mem(pid, 2 * 4096, simmem::PageFlags::RW);
+        k.mem.unmap(pt, dst + 4096, 1);
+        k.mem.kwrite(pt, src, &[0x5a; 200]).unwrap();
+        k.mem.kwrite(pt, dst + 4096 - 100, &[0xee; 100]).unwrap();
+
+        let mut a = Asm::new();
+        a.li(A0, wfd as u64);
+        a.li(A1, src);
+        a.li(A2, 200);
+        sys(&mut a, sysno::WRITE);
+        a.li(A0, rfd as u64);
+        a.li(A1, dst + 4096 - 100);
+        a.li(A2, 200);
+        sys(&mut a, sysno::READ);
+        a.push(Instr::Halt);
+        let img = k.load_program(pid, &a.finish(), &HashMap::new());
+        let tid = k.spawn_thread(pid, img.base, &[]);
+        k.run_to_completion();
+
+        assert_eq!(decode(k.threads[&tid].exit_code), Err(errno::EFAULT), "sock={sock}");
+        let left = if sock { k.socks[1].rx.len() } else { k.pipes[0].buf.len() };
+        assert_eq!(left, 0, "sock={sock}: the failed read still consumed the bytes");
+        let mut tail = [0u8; 100];
+        k.mem.kread(pt, dst + 4096 - 100, &mut tail).unwrap();
+        assert_eq!(tail, [0xee; 100], "sock={sock}: no partial copy-out");
+    }
+}

@@ -81,6 +81,11 @@ proptest! {
         p.capacity = 257; // force wraparound and partial writes
         let mut sent: Vec<u8> = Vec::new();
         let mut received: Vec<u8> = Vec::new();
+        let mut chunk = Vec::new();
+        let mut read = |p: &mut Pipe, len| {
+            p.read(len, &mut chunk);
+            received.extend_from_slice(&chunk);
+        };
         for w in &writes {
             let mut off = 0;
             while off < w.len() {
@@ -88,12 +93,12 @@ proptest! {
                 sent.extend_from_slice(&w[off..off + n]);
                 off += n;
                 if n == 0 {
-                    received.extend(p.read(64));
+                    read(&mut p, 64);
                 }
             }
-            received.extend(p.read(97));
+            read(&mut p, 97);
         }
-        received.extend(p.read(usize::MAX >> 1));
+        read(&mut p, usize::MAX >> 1);
         prop_assert_eq!(received, sent, "bytes must arrive exactly once, in order");
     }
 }
