@@ -1,25 +1,22 @@
 //! Host simulation speed: how many simulated instructions per host second
-//! the executor retires across the host-cache mode matrix — the
-//! per-instruction fast path (decoded-instruction cache;
-//! `CDVM_NO_FASTPATH=1` disables), the superblock engine
-//! (`CDVM_NO_BLOCKS=1`), the cross-domain superblock layer (crossing
-//! descriptors + memory-operand translation cache; `CDVM_NO_XBLOCKS=1`)
-//! and direct-threaded dispatch (`CDVM_NO_THREADED=1`).
+//! each of the two engines retires — the reference interpreter
+//! (`CDVM_NO_FASTPATH=1`: every fetch translated and decoded from scratch,
+//! no host cache) and the fast engine (superblocks, crossing descriptors,
+//! operand cache, threaded handlers, host translation cache).
 //!
 //! Unlike every other binary here, this one measures *wall-clock* host
 //! performance, not simulated cycles — the simulated results are identical
-//! in all modes by construction (see `tests/fastpath_diff.rs`). Emits
-//! `results/BENCH_simspeed.json`, including the crossing-descriptor,
-//! block, icache and data-translation-cache hit rates of the full
-//! configuration and the host CPU count (wall-clock numbers are
-//! hardware-dependent).
+//! on both engines by construction (see `tests/fastpath_diff.rs`). Emits
+//! `results/BENCH_simspeed.json`, including the fast engine's block,
+//! crossing-descriptor and data-translation-cache hit rates and the host
+//! CPU count (wall-clock numbers are hardware-dependent).
 //!
 //! `SIMSPEED_ASSERT=1` additionally asserts (a) that the host cache
 //! counters are identical across repeated trials — the deterministic part
-//! of the emitted JSON regenerates bit-identically — and (b) that the
-//! full configuration beats the fastpath-only configuration on every
-//! workload. Both asserts are skipped when any `CDVM_NO_*` kill switch is
-//! set (the matrix is then deliberately degraded).
+//! of the emitted JSON regenerates bit-identically — and (b) that the fast
+//! engine beats the reference on every workload and by at least 2× in the
+//! geomean. Both asserts are skipped under `CDVM_NO_FASTPATH=1` (both
+//! columns then measure the reference).
 
 use std::time::Instant;
 
@@ -107,9 +104,8 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-/// Builds a fresh bare machine for a raw workload (all cache modes are
-/// sampled at CPU construction, so callers flip the `simmem::set_*`
-/// switches first).
+/// Builds a fresh bare machine for a raw workload (the engine is sampled
+/// at construction, so callers call `simmem::set_fastpath` first).
 fn build(code: &[u8], callee: Option<&Vec<u8>>) -> (Memory, Cpu) {
     let mut mem = Memory::new();
     let pt = Memory::GLOBAL_PT;
@@ -225,23 +221,6 @@ fn measure(w: &Workload, target: u64, assert_identity: bool) -> (f64, HostCacheS
     trials.into_iter().max_by(|a, b| a.0.total_cmp(&b.0)).unwrap()
 }
 
-/// The six cache configurations, in reporting order:
-/// `(key, fastpath, blocks, xblocks, threaded)`.
-const MODES: [(&str, bool, bool, bool, bool); 6] = [
-    ("interp", false, false, false, false),
-    ("fastpath", true, false, false, false),
-    ("blocks_nofp", false, true, false, false),
-    ("blocks", true, true, false, false),
-    ("xblocks", true, true, true, false),
-    ("full", true, true, true, true),
-];
-
-const INTERP: usize = 0;
-const FASTPATH: usize = 1;
-const BLOCKS: usize = 3;
-const XBLOCKS: usize = 4;
-const FULL: usize = 5;
-
 fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
     let (sum, n) = ratios.fold((0.0, 0usize), |(s, n), r| (s + r.ln(), n + 1));
     (sum / n.max(1) as f64).exp()
@@ -251,98 +230,57 @@ fn main() {
     bench::banner("simspeed - host simulation throughput (wall clock)");
     let scale = bench::scale();
     let target = 2_000_000 * scale;
-    // Respect an operator's env kill-switches: a mode that would enable a
-    // cache the environment disabled stays disabled (and says so).
-    let no_fp = std::env::var("CDVM_NO_FASTPATH").is_ok();
-    let no_blocks = std::env::var("CDVM_NO_BLOCKS").is_ok();
-    let no_xblocks = std::env::var("CDVM_NO_XBLOCKS").is_ok();
-    let no_threaded = std::env::var("CDVM_NO_THREADED").is_ok();
-    let degraded = no_fp || no_blocks || no_xblocks || no_threaded;
-    if no_fp {
-        println!("note: CDVM_NO_FASTPATH is set; fastpath modes run uncached");
-    }
-    if no_blocks {
-        println!("note: CDVM_NO_BLOCKS is set; block modes run without the block engine");
-    }
-    if no_xblocks {
-        println!("note: CDVM_NO_XBLOCKS is set; crossing/data caches stay off");
-    }
-    if no_threaded {
-        println!("note: CDVM_NO_THREADED is set; direct-threaded dispatch stays off");
+    // Respect an operator's `CDVM_NO_FASTPATH=1`: the fast column then
+    // measures the reference too (and says so).
+    let degraded = !simmem::fastpath_enabled();
+    if degraded {
+        println!("note: CDVM_NO_FASTPATH is set; both columns run the reference interpreter");
     }
     let do_assert = std::env::var("SIMSPEED_ASSERT").is_ok() && !degraded;
     println!(
-        "{:<8} {:<34} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
-        "workload",
-        "description",
-        "interp",
-        "fastpath",
-        "blk-nofp",
-        "blocks",
-        "xblocks",
-        "full",
-        "vs-blk",
-        "xhit"
+        "{:<8} {:<34} {:>9} {:>8} {:>8} {:>7}",
+        "workload", "description", "reference", "fast", "speedup", "xhit"
     );
 
     struct Row {
         name: &'static str,
         desc: &'static str,
-        mips: [f64; 6],
+        mips_reference: f64,
+        mips_fast: f64,
         caches: HostCacheStats,
     }
     let mut rows = Vec::new();
     for w in workloads() {
-        let mut mips = [0.0f64; 6];
-        let mut caches = HostCacheStats::default();
-        for (k, &(_, fastpath, blocks, xblocks, threaded)) in MODES.iter().enumerate() {
-            simmem::set_fastpath(Some(fastpath && !no_fp));
-            simmem::set_blocks(Some(blocks && !no_blocks));
-            simmem::set_xblocks(Some(xblocks && !no_xblocks));
-            simmem::set_threaded(Some(threaded && !no_threaded));
-            let (m, c) = measure(&w, target, do_assert);
-            mips[k] = m;
-            if k == FULL {
-                caches = c;
-            }
-        }
+        simmem::set_fastpath(Some(false));
+        let (mips_reference, _) = measure(&w, target, do_assert);
+        simmem::set_fastpath(Some(!degraded));
+        let (mips_fast, caches) = measure(&w, target, do_assert);
         simmem::set_fastpath(None);
-        simmem::set_blocks(None);
-        simmem::set_xblocks(None);
-        simmem::set_threaded(None);
         println!(
-            "{:<8} {:<34} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>7.2}x {:>6.1}%",
+            "{:<8} {:<34} {:>9.2} {:>8.2} {:>7.2}x {:>6.1}%",
             w.name,
             w.desc,
-            mips[INTERP],
-            mips[FASTPATH],
-            mips[2],
-            mips[BLOCKS],
-            mips[XBLOCKS],
-            mips[FULL],
-            mips[FULL] / mips[BLOCKS],
+            mips_reference,
+            mips_fast,
+            mips_fast / mips_reference,
             100.0 * caches.cross_hit_rate()
         );
         if do_assert {
             assert!(
-                mips[FULL] / mips[FASTPATH] >= 1.0,
-                "{}: full configuration ({:.2} MIPS) must not lose to fastpath-only ({:.2} MIPS)",
-                w.name,
-                mips[FULL],
-                mips[FASTPATH]
+                mips_fast >= mips_reference,
+                "{}: the fast engine ({mips_fast:.2} MIPS) must not lose to the reference \
+                 ({mips_reference:.2} MIPS)",
+                w.name
             );
         }
-        rows.push(Row { name: w.name, desc: w.desc, mips, caches });
+        rows.push(Row { name: w.name, desc: w.desc, mips_reference, mips_fast, caches });
     }
 
-    let geo_total = geomean(rows.iter().map(|r| r.mips[FULL] / r.mips[INTERP]));
-    let geo_vs_fastpath = geomean(rows.iter().map(|r| r.mips[FULL] / r.mips[FASTPATH]));
-    let geo_vs_blocks = geomean(rows.iter().map(|r| r.mips[FULL] / r.mips[BLOCKS]));
-    println!(
-        "geomean speedup: {geo_total:.2}x vs interp, {geo_vs_fastpath:.2}x vs fastpath-only, \
-         {geo_vs_blocks:.2}x vs block engine (acceptance floor: 2.00x geomean over the \
-         committed block-engine baseline)"
-    );
+    let geo = geomean(rows.iter().map(|r| r.mips_fast / r.mips_reference));
+    println!("geomean speedup: {geo:.2}x over the reference interpreter");
+    if do_assert {
+        assert!(geo >= 2.0, "geomean speedup {geo:.2}x is under the 2.00x floor");
+    }
 
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json_rows: Vec<String> = rows
@@ -350,27 +288,15 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"workload\": \"{}\", \"description\": \"{}\", \
-                 \"mips_slowpath\": {:.3}, \"mips_fastpath\": {:.3}, \
-                 \"mips_blocks_nofp\": {:.3}, \"mips_blocks\": {:.3}, \
-                 \"mips_xblocks\": {:.3}, \"mips_threaded\": {:.3}, \
-                 \"speedup\": {:.3}, \"speedup_vs_fastpath\": {:.3}, \
-                 \"speedup_vs_blocks\": {:.3}, \
-                 \"block_hit_rate\": {:.4}, \"icache_hit_rate\": {:.4}, \
-                 \"cross_hit_rate\": {:.4}, \"dcache_hit_rate\": {:.4}, \
-                 \"block_evict_conflicts\": {}}}",
+                 \"mips_reference\": {:.3}, \"mips_fast\": {:.3}, \"speedup\": {:.3}, \
+                 \"block_hit_rate\": {:.4}, \"cross_hit_rate\": {:.4}, \
+                 \"dcache_hit_rate\": {:.4}, \"block_evict_conflicts\": {}}}",
                 r.name,
                 r.desc,
-                r.mips[INTERP],
-                r.mips[FASTPATH],
-                r.mips[2],
-                r.mips[BLOCKS],
-                r.mips[XBLOCKS],
-                r.mips[FULL],
-                r.mips[FULL] / r.mips[INTERP],
-                r.mips[FULL] / r.mips[FASTPATH],
-                r.mips[FULL] / r.mips[BLOCKS],
+                r.mips_reference,
+                r.mips_fast,
+                r.mips_fast / r.mips_reference,
                 r.caches.block_hit_rate(),
-                r.caches.icache_hit_rate(),
                 r.caches.cross_hit_rate(),
                 r.caches.dcache_hit_rate(),
                 r.caches.block_evict_conflicts,
@@ -380,9 +306,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"simspeed\",\n  \"scale\": {scale},\n  \
          \"target_instructions\": {target},\n  \"host_cpus\": {host_cpus},\n  \
-         \"geomean_speedup\": {geo_total:.3},\n  \
-         \"geomean_speedup_vs_fastpath\": {geo_vs_fastpath:.3},\n  \
-         \"geomean_speedup_vs_blocks\": {geo_vs_blocks:.3},\n  \
+         \"geomean_speedup\": {geo:.3},\n  \
          \"workloads\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );

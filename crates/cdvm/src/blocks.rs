@@ -1,19 +1,19 @@
-//! Superblock cache — the block-level fast path of the executor.
+//! Superblock cache — the fast engine's unit of execution.
 //!
-//! The per-page decoded-instruction cache ([`crate::icache`]) removed the
-//! decode cost from the hot loop, but every [`crate::Cpu::step`] still pays
-//! an icache probe, an iTLB access, a generation/epoch compare and the
-//! dispatch overhead *per instruction*. This module lifts those to *block*
-//! granularity: a [`Block`] is a trace of decoded instructions within one
-//! code page — straight-line runs stitched across unconditional same-page
-//! direct jumps (which unrolls tight loops) — ending at the first branch,
-//! indirect or cross-page transfer, system entry, privileged mode/table
-//! switch, undecodable slot, cost-unbounded instruction, or the page
-//! boundary. The executor
-//! validates a block once at entry (translation generation + code epoch +
-//! the CODOMs crossing check, which consults the revocation state) and then
-//! executes its body in a tight loop with no per-instruction fetch
-//! machinery; see `Cpu::run_blocks` in [`crate::cpu`].
+//! The reference interpreter ([`crate::Cpu::step`]) pays a translation, an
+//! iTLB access, a crossing test, a decode and the dispatch overhead *per
+//! instruction*. This module lifts those to *block* granularity: a
+//! [`Block`] is a trace of decoded instructions within one code page —
+//! straight-line runs stitched across unconditional same-page direct jumps
+//! (which unrolls tight loops) — ending at the first branch, indirect or
+//! cross-page transfer, system entry, privileged mode/table switch,
+//! undecodable slot, cost-unbounded instruction, or the page boundary. The
+//! executor validates a block once at entry (translation generation + code
+//! epoch + the CODOMs crossing check, which consults the revocation state)
+//! and then executes its body in a tight loop with no per-instruction
+//! fetch machinery; see `Cpu::run_blocks` in [`crate::cpu`]. Decoding
+//! happens here and nowhere else on the fast engine: there is no separate
+//! decoded-instruction cache.
 //!
 //! # Exactness
 //!
@@ -34,8 +34,12 @@
 //!   the page table, generation and epoch; it re-runs the entry phase at
 //!   the real PC but never uses the slot's crossing descriptor, whose
 //!   call-gate alignment was proven for [`Block::entry`] only.
-//!   Instructions with unbounded cost (`MemCpy`, `MemSet`, register-driven
-//!   `Work`) are never placed in a block; the interpreter steps them.
+//!   An instruction with unbounded cost (`MemCpy`, `MemSet`,
+//!   register-driven `Work`) never shares a block: formation stops before
+//!   it, and at its own PC it forms a one-instruction block whose
+//!   `max_cost` is `u64::MAX` — so it always runs budgeted, where the
+//!   first instruction executes before any deadline compare, exactly as
+//!   the interpreter's loop runs it.
 //! * **iTLB accounting** batches the guaranteed same-page hits of the
 //!   non-entry instructions through [`simmem::Tlb::note_hits`], which
 //!   leaves the TLB in exactly the state the per-instruction accesses
@@ -50,12 +54,12 @@
 //!
 //! # Invalidation
 //!
-//! Like the icache there is no shootdown: every entry snapshots the page
-//! table's generation and the global code epoch at formation and is
-//! revalidated on every use (including every *chained* entry), so remaps,
-//! re-protects, re-tags, frame recycling and cross-CPU code deltas applied
-//! at the SMP barrier all force re-formation. Chain links carry a fill
-//! sequence number and are ignored when the target slot was refilled.
+//! There is no shootdown: every entry snapshots the page table's
+//! generation and the global code epoch at formation and is revalidated on
+//! every use (including every *chained* entry), so remaps, re-protects,
+//! re-tags, frame recycling and another CPU's stores to code all force
+//! re-formation. Chain links carry a fill sequence number and are ignored
+//! when the target slot was refilled.
 //!
 //! # Cross-domain superblocks
 //!
@@ -69,7 +73,6 @@
 //! capability grants — the identical capability still present and
 //! unrevoked), the executor replays only the crossing's architectural
 //! side effects and skips the full [`codoms::Checker::check_jump`] scan.
-//! Gated by `CDVM_NO_XBLOCKS=1` ([`simmem::xblocks_enabled`]).
 //!
 //! # Direct-threaded dispatch
 //!
@@ -77,12 +80,10 @@
 //! instructions (infallible, unprivileged, non-memory; see
 //! [`crate::threaded`]), and [`Block::pure_len`] is the length of the
 //! maximal pure prefix. ALU-dense bodies dispatch through the handler
-//! table instead of the full `execute()` match. Gated by
-//! `CDVM_NO_THREADED=1` ([`simmem::threaded_enabled`]).
+//! table instead of the full `execute()` match.
 //!
-//! Disable at runtime with `CDVM_NO_BLOCKS=1` (see
-//! [`simmem::blocks_enabled`]); composes with `CDVM_NO_FASTPATH=1`, which
-//! gates the per-instruction caches independently.
+//! `CDVM_NO_FASTPATH=1` (see [`simmem::fastpath_enabled`]) runs the
+//! reference interpreter instead of all of the above.
 
 use codoms::cap::Capability;
 use codoms::HwTag;
@@ -153,10 +154,9 @@ pub enum BlockEnd {
 /// A pre-validated trace of instructions within one code page (straight-
 /// line runs stitched across unconditional same-page direct jumps).
 ///
-/// An empty `instrs` marks a *step-only* entry: the instruction at `entry`
-/// cannot be placed in a block (unbounded cost or undecodable bytes) and
-/// must be executed through the interpreter. Caching the decision avoids
-/// re-deriving it on every dispatch.
+/// An empty `instrs` marks a *step-only* entry: the bytes at `entry` do
+/// not decode, and [`crate::Cpu::step`] raises the exact fault. Caching the
+/// decision avoids re-deriving it on every dispatch.
 #[derive(Debug)]
 pub struct Block {
     /// Owning page table.
@@ -173,7 +173,8 @@ pub struct Block {
     /// The block body (empty for step-only entries).
     pub instrs: Box<[BlockInstr]>,
     /// Static upper bound on the cycles one execution of the block can
-    /// consume, including a potential iTLB miss at entry.
+    /// consume, including a potential iTLB miss at entry; `u64::MAX` for
+    /// the one-instruction block of a cost-unbounded instruction.
     pub max_cost: u64,
     /// Successor shape.
     pub end: BlockEnd,
@@ -184,7 +185,8 @@ pub struct Block {
 }
 
 /// Static per-instruction worst-case cycle cost, or `None` if the cost is
-/// not statically bounded (such instructions are never placed in a block).
+/// not statically bounded (such an instruction only ever sits alone in a
+/// block).
 ///
 /// Bounds mirror `Cpu::execute` exactly: `base` is always charged first and
 /// the per-op extras are added on top; loads/stores add the data-access
@@ -246,12 +248,21 @@ fn is_terminator(i: &Instr) -> bool {
 /// bump the code epoch mid-block).
 fn may_write(i: &Instr) -> bool {
     use Instr::*;
-    matches!(i, St { .. } | Stb { .. } | Amoadd { .. } | CapPush { .. } | CapSt { .. })
+    matches!(
+        i,
+        St { .. }
+            | Stb { .. }
+            | Amoadd { .. }
+            | MemCpy { .. }
+            | MemSet { .. }
+            | CapPush { .. }
+            | CapSt { .. }
+    )
 }
 
 /// Decodes a block starting at `entry` (8-byte aligned) from `page` (the
-/// whole backing frame). Always returns a block; if the first slot is not
-/// blockable the result is a step-only entry. `instrs` is a scratch decode
+/// whole backing frame). Always returns a block; if the first slot does
+/// not decode the result is a step-only entry. `instrs` is a scratch decode
 /// buffer (its contents are overwritten): the block body is copied out of
 /// it at its exact length, so a fill allocates once.
 #[allow(clippy::too_many_arguments)]
@@ -286,14 +297,13 @@ pub fn form_block(
             }
             break;
         };
-        let Some(c) = instr_max_cost(&instr, cost) else {
-            // Cost-unbounded instruction: never inside a block.
-            if !instrs.is_empty() {
-                end = BlockEnd::Jump { target: pc };
-            }
+        let bound = instr_max_cost(&instr, cost);
+        if bound.is_none() && !instrs.is_empty() {
+            // Cost-unbounded instruction: it gets a block of its own.
+            end = BlockEnd::Jump { target: pc };
             break;
-        };
-        max_cost += c;
+        }
+        max_cost = max_cost.saturating_add(bound.unwrap_or(u64::MAX));
         let (handler, rd, rs1, rs2, imm) = crate::threaded::classify(&instr);
         instrs.push(BlockInstr {
             instr,
@@ -305,6 +315,10 @@ pub fn form_block(
             rs2,
             imm,
         });
+        if bound.is_none() {
+            end = BlockEnd::Jump { target: pc.wrapping_add(INSTR_BYTES) };
+            break;
+        }
         if is_terminator(&instr) {
             end = match instr {
                 Instr::Jal { imm, .. } => {
@@ -806,21 +820,81 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_cost_instruction_is_never_inside_a_block() {
+    fn unbounded_cost_instruction_is_alone_in_its_block() {
         let cost = CostModel::default();
-        // Work with a register operand has register-driven cost.
-        let page = page_of(&[Instr::Nop, Instr::Work { rs1: 5, imm: 0 }, Instr::Halt]);
-        let b = form(0x1000, 0, 0, &page, &cost);
-        assert_eq!(b.instrs.len(), 1, "block must stop before the Work");
-        assert_eq!(b.end, BlockEnd::Jump { target: 0x1008 });
-        // At the Work itself: a step-only entry.
-        let b = form(0x1008, 0, 0, &page, &cost);
-        assert!(b.instrs.is_empty());
+        let unbounded = [
+            Instr::Work { rs1: 5, imm: 0 },
+            Instr::MemCpy { rd: 5, rs1: 6, rs2: 7 },
+            Instr::MemSet { rd: 5, rs1: 6, rs2: 7 },
+        ];
+        for u in unbounded {
+            let page = page_of(&[Instr::Nop, u, Instr::Halt]);
+            let b = form(0x1000, 0, 0, &page, &cost);
+            assert_eq!(b.instrs.len(), 1, "{u:?}: block must stop before it");
+            assert_eq!(b.end, BlockEnd::Jump { target: 0x1008 });
+            // At the instruction itself: a block of one, always budgeted.
+            let b = form(0x1008, 0, 0, &page, &cost);
+            assert_eq!(b.instrs.len(), 1, "{u:?}");
+            assert_eq!(b.instrs[0].instr, u);
+            assert_eq!(b.max_cost, u64::MAX, "{u:?}");
+            assert_eq!(b.end, BlockEnd::Jump { target: 0x1010 });
+            assert_eq!(b.pure_len, 0);
+            assert_eq!(b.instrs[0].may_write, !matches!(u, Instr::Work { .. }), "{u:?}");
+        }
         // Immediate-form Work is statically bounded and blockable.
         let page = page_of(&[Instr::Work { rs1: 0, imm: 500 }, Instr::Halt]);
         let b = form(0x1000, 0, 0, &page, &cost);
         assert_eq!(b.instrs.len(), 2);
         assert_eq!(b.max_cost, cost.tlb_miss + (cost.base + 500) + cost.base);
+
+        // A MemCpy that overwrites the slot after itself: the one-instruction
+        // block re-checks the code epoch, so the successor is formed from
+        // the copied bytes, not chained into from a stale block.
+        use crate::isa::reg::{A0, T0, T1, T2};
+        use crate::{Asm, Cpu, StepEvent};
+        use codoms::cap::RevocationTable;
+        use simmem::Memory;
+        const CODE: u64 = 0x10_000;
+        let mut a = Asm::new();
+        a.li(T0, CODE + 0x100); // destination: the Movi after the MemCpy
+        a.li(T1, CODE + 0x200); // source: a `Movi a0, 2`
+        a.li(T2, 8);
+        while a.here() < 0xf8 {
+            a.push(Instr::Nop);
+        }
+        a.push(Instr::MemCpy { rd: T0, rs1: T1, rs2: T2 });
+        a.push(Instr::Movi { rd: A0, imm: 1 });
+        a.push(Instr::Halt);
+        let mut code = a.finish().bytes;
+        code.resize(0x200, 0);
+        code.extend_from_slice(&Instr::Movi { rd: A0, imm: 2 }.encode());
+        let mut outcomes = Vec::new();
+        for fast in [false, true] {
+            simmem::set_fastpath(Some(fast));
+            let mut mem = Memory::new();
+            let mut cpu = Cpu::new(0);
+            simmem::set_fastpath(None);
+            mem.map_anon(Memory::GLOBAL_PT, CODE, 1, PageFlags::RWX, DomainTag(1));
+            mem.kwrite(Memory::GLOBAL_PT, CODE, &code).unwrap();
+            cpu.cur_dom = DomainTag(1);
+            let mut rev = RevocationTable::new();
+            // First from the successor, so its stale block is cached.
+            cpu.pc = CODE + 0x100;
+            let exit = cpu.run(&mut mem, &mut rev, &cost, u64::MAX);
+            assert_eq!((exit.event, cpu.reg(A0)), (StepEvent::Halt, 1));
+            let fills = cpu.block_stats().fills;
+            cpu.pc = CODE;
+            let exit = cpu.run(&mut mem, &mut rev, &cost, u64::MAX);
+            assert_eq!(exit.event, StepEvent::Halt);
+            assert_eq!(cpu.reg(A0), 2, "fast={fast}: stale successor ran after the MemCpy");
+            if fast {
+                let b = cpu.block_stats();
+                assert_eq!(b.bails, 1, "the MemCpy block saw the epoch bump: {b:?}");
+                assert!(b.fills >= fills + 3, "prefix, MemCpy and re-formed successor: {b:?}");
+            }
+            outcomes.push((cpu.cycles, cpu.retired, cpu.itlb.stats(), cpu.dtlb.stats()));
+        }
+        assert_eq!(outcomes[0], outcomes[1], "engines diverged");
     }
 
     #[test]
@@ -833,6 +907,7 @@ mod tests {
         assert_eq!(b.end, BlockEnd::Jump { target: 0x1010 });
         let b = form(0x1010, 0, 0, &page, &cost);
         assert!(b.instrs.is_empty(), "undecodable entry is step-only");
+        assert_eq!((b.max_cost, b.end), (0, BlockEnd::Dynamic));
     }
 
     #[test]

@@ -22,7 +22,6 @@ use simmem::{DomainTag, MemFault, Memory, PageFlags, PageTableId, Pte, Tlb, PAGE
 use crate::blocks::{BlockCache, BlockEnd, BlockStats, CrossDesc, CrossGrant, CrossProbe};
 use crate::cost::CostModel;
 use crate::dcache::{DCache, DGrant};
-use crate::icache::InstrCache;
 use crate::isa::{reg, Instr, INSTR_BYTES};
 use crate::stats::{ExecStats, HostCacheStats};
 
@@ -144,28 +143,17 @@ pub struct Cpu {
     /// the capability-revocation injection site so the untraced, unfaulted
     /// hot loop stays free of thread-local lookups.
     chaos: bool,
-    /// Whether this CPU uses the decoded-instruction cache (sampled from
-    /// [`simmem::fastpath_enabled`] at construction).
-    fastpath: bool,
-    /// Per-page decoded-instruction cache (host fast path; see
-    /// [`crate::icache`]).
-    icache: InstrCache,
-    /// Whether this CPU uses the superblock engine (sampled from
-    /// [`simmem::blocks_enabled`] at construction). Blocks only engage
-    /// through [`Cpu::run`]; direct [`Cpu::step`] callers always take the
-    /// per-instruction path.
-    blocks: bool,
-    /// Superblock cache (host fast path; see [`crate::blocks`]). Boxed so
-    /// that [`Cpu::run`] detaches it for a dispatch run by moving one
-    /// pointer; `None` only inside that run.
+    /// Which engine [`Cpu::run`] uses (sampled from
+    /// [`simmem::fastpath_enabled`] at construction): the fast engine —
+    /// superblocks, crossing descriptors, the operand cache, threaded
+    /// handlers — or the reference interpreter, which touches no host
+    /// cache at all. Blocks only engage through [`Cpu::run`]; direct
+    /// [`Cpu::step`] callers always fetch and decode from scratch.
+    fast: bool,
+    /// Superblock cache (see [`crate::blocks`]). Boxed so that
+    /// [`Cpu::run`] detaches it for a dispatch run by moving one pointer;
+    /// `None` only inside that run.
     bcache: Option<Box<BlockCache>>,
-    /// Whether block-edge crossing descriptors and the memory-operand
-    /// translation cache are in use (sampled from
-    /// [`simmem::xblocks_enabled`] at construction).
-    xblocks: bool,
-    /// Whether the direct-threaded pure-prefix dispatcher is in use
-    /// (sampled from [`simmem::threaded_enabled`] at construction).
-    threaded: bool,
     /// Per-CPU memory-operand translation cache (see [`crate::dcache`]).
     dcache: DCache,
     /// Bounce buffer of `MemCpy`/`MemSet`, kept for its capacity.
@@ -233,12 +221,8 @@ impl Cpu {
             cur_page_flags: PageFlags::empty(),
             instrument: simtrace::enabled(),
             chaos: simfault::armed(),
-            fastpath: simmem::fastpath_enabled(),
-            icache: InstrCache::new(),
-            blocks: simmem::blocks_enabled(),
+            fast: simmem::fastpath_enabled(),
             bcache: Some(Box::new(BlockCache::new())),
-            xblocks: simmem::xblocks_enabled(),
-            threaded: simmem::threaded_enabled(),
             dcache: DCache::new(),
             bulk: Vec::new(),
             reported: HostCacheStats::default(),
@@ -254,27 +238,18 @@ impl Cpu {
         self.chaos = simfault::armed();
     }
 
-    /// Host-side decoded-instruction-cache counters `(hits, fills)`.
-    pub fn icache_stats(&self) -> (u64, u64) {
-        self.icache.stats()
-    }
-
     /// Host-side superblock-cache counters.
     pub fn block_stats(&self) -> BlockStats {
         self.bcache.as_ref().expect("attached outside Cpu::run").stats()
     }
 
-    /// The full host-side cache counter set (icache + block cache +
-    /// crossing descriptors + data-operand translation cache).
+    /// The full host-side cache counter set (block cache + crossing
+    /// descriptors + data-operand translation cache); all zero on the
+    /// reference engine.
     pub fn host_cache_stats(&self) -> HostCacheStats {
-        let (icache_hits, icache_misses, icache_fills, icache_evicts) = self.icache.full_stats();
         let b = self.block_stats();
         let (dcache_hits, dcache_misses) = self.dcache.stats();
         HostCacheStats {
-            icache_hits,
-            icache_misses,
-            icache_fills,
-            icache_evicts,
             block_hits: b.hits,
             block_misses: b.misses,
             block_fills: b.fills,
@@ -286,6 +261,7 @@ impl Cpu {
             cross_misses: b.cross_misses,
             dcache_hits,
             dcache_misses,
+            ..HostCacheStats::default()
         }
     }
 
@@ -297,10 +273,6 @@ impl Cpu {
         let now = self.host_cache_stats();
         let d = now.delta(&self.reported);
         for (name, v) in [
-            ("host.icache_hits", d.icache_hits),
-            ("host.icache_misses", d.icache_misses),
-            ("host.icache_fills", d.icache_fills),
-            ("host.icache_evicts", d.icache_evicts),
             ("host.block_hits", d.block_hits),
             ("host.block_misses", d.block_misses),
             ("host.block_fills", d.block_fills),
@@ -351,7 +323,7 @@ impl Cpu {
         deadline: u64,
     ) -> RunExit {
         self.refresh_instrumentation();
-        let exit = if self.blocks {
+        let exit = if self.fast {
             self.run_blocks(mem, rev, cost, deadline)
         } else {
             self.run_interp(mem, rev, cost, deadline)
@@ -362,7 +334,8 @@ impl Cpu {
         exit
     }
 
-    /// The per-instruction run loop (used when the block engine is off).
+    /// The reference engine: one [`Cpu::step`] per instruction, the
+    /// deadline compared before each.
     fn run_interp(
         &mut self,
         mem: &mut Memory,
@@ -385,8 +358,8 @@ impl Cpu {
     /// execute it — whole when its worst-case cost fits the deadline,
     /// otherwise budgeted, checking the deadline per instruction — and
     /// chain to the statically known successor while the budget holds. A
-    /// PC no block can cover (misaligned, unmapped, step-only) goes to the
-    /// interpreter for exactly one instruction and re-dispatches.
+    /// PC no block can cover (misaligned, unmapped, undecodable) goes to
+    /// [`Cpu::step`], which raises the exact fault.
     #[inline]
     fn run_blocks(
         &mut self,
@@ -421,8 +394,8 @@ impl Cpu {
                 .resume(self.pc, pt, mem.table_generation(pt), mem.code_epoch())
                 .or_else(|| self.lookup_or_form(bcache, mem, cost).map(|slot| (slot, 0)));
             let Some((mut slot, mut from)) = entry else {
-                // Unblockable PC (misaligned, or unmapped — the interpreter
-                // raises the exact fault).
+                // Unblockable PC (misaligned, or unmapped — `step` raises
+                // the exact fault).
                 match self.step(mem, rev, cost) {
                     StepEvent::Retired => retired += 1,
                     ev => return RunExit { event: ev, retired, deadline: false },
@@ -559,7 +532,7 @@ impl Cpu {
     /// replayed (including the one APL-cache probe the full check would
     /// have made) instead of re-derived; any mismatch falls back to the
     /// full [`codoms::check::Checker::check_jump`], which re-installs the
-    /// descriptor on success. Disabled by `CDVM_NO_XBLOCKS=1`.
+    /// descriptor on success.
     ///
     /// `from` is the first instruction to execute: 0, or a resume index —
     /// the PC is then a mid-block PC on the same page, so the entry phase
@@ -587,7 +560,7 @@ impl Cpu {
             self.cycles += cost.tlb_miss;
         }
         if !self.kernel_mode && pte.tag != self.cur_dom {
-            let xdesc = self.xblocks && from == 0;
+            let xdesc = from == 0;
             let cached = xdesc
                 && match bcache.cross_desc(slot) {
                     Some(d)
@@ -655,7 +628,7 @@ impl Cpu {
         let block = bcache.block_at(slot);
 
         let mut start = from;
-        if self.threaded && !self.instrument {
+        if !self.instrument {
             // The handlers keep x0 zeroed; zero it once up front so they
             // start from the same state the general loop maintains.
             self.regs[0] = 0;
@@ -701,7 +674,7 @@ impl Cpu {
             // and skip the full `execute()` match. They provably retire
             // with no event, no memory write and no instrumentation to
             // record, so the rest of this iteration's plumbing is dead.
-            if self.threaded && !self.instrument && bi.handler != 0 {
+            if !self.instrument && bi.handler != 0 {
                 crate::threaded::HANDLERS[bi.handler as usize](self, bi, cost);
                 self.retired += 1;
                 *retired += 1;
@@ -842,35 +815,12 @@ impl Cpu {
         cost: &CostModel,
     ) -> StepEvent {
         // --- Fetch ---
-        // Fast path: serve the translation and the decoded instruction from
-        // the per-page cache. An entry is only served while the page table's
-        // generation and the global code epoch still match its fill-time
-        // values, so remaps/protects/re-tags and writes to executable pages
-        // all force the slow path below (which re-translates and re-decodes).
-        // Everything the simulation observes — iTLB accounting, domain-
-        // crossing checks, fault order — is identical on both paths.
+        // Translated and decoded from scratch every time: this is the
+        // specification the block engine is tested against.
         let pc = self.pc;
-        let aligned = page_offset(pc).is_multiple_of(INSTR_BYTES);
-        let cached: Option<(Pte, Option<Instr>)> = if self.fastpath && aligned {
-            self.icache.lookup(
-                self.active_pt,
-                vpn(pc),
-                (page_offset(pc) / INSTR_BYTES) as usize,
-                mem.table_generation(self.active_pt),
-                mem.code_epoch(),
-            )
-        } else {
-            None
-        };
-        let (pte, cached_instr) = match cached {
-            Some((pte, mi)) => (pte, mi),
-            None => {
-                let pte = match mem.translate(self.active_pt, pc, Access::Exec) {
-                    Ok(p) => p,
-                    Err(f) => return self.fault(FaultKind::Mem(f)),
-                };
-                (pte, None)
-            }
+        let pte = match mem.translate(self.active_pt, pc, Access::Exec) {
+            Ok(p) => p,
+            Err(f) => return self.fault(FaultKind::Mem(f)),
         };
         if !self.itlb.access(self.active_pt, pc) {
             self.cycles += cost.tlb_miss;
@@ -910,49 +860,35 @@ impl Cpu {
         }
         self.cur_page_flags = pte.flags;
 
-        let instr = match cached_instr {
-            Some(i) => i,
-            None => {
-                // A misaligned PC can make the 8-byte fetch spill into the
-                // next page; that page must be executable and belong to the
-                // same domain (the crossing check above only covered the
-                // first page).
-                if page_offset(pc) > PAGE_SIZE - INSTR_BYTES {
-                    let next_page = page_align_down(pc) + PAGE_SIZE;
-                    let pte2 = match mem.translate(self.active_pt, next_page, Access::Exec) {
-                        Ok(p) => p,
-                        Err(f) => return self.fault(FaultKind::Mem(f)),
-                    };
-                    if !self.kernel_mode && pte2.tag != pte.tag {
-                        return self.fault(FaultKind::Codoms(CheckError::Denied {
-                            from: self.cur_dom,
-                            to: pte2.tag,
-                            addr: next_page,
-                        }));
-                    }
-                }
-                let mut bytes = [0u8; 8];
-                if page_offset(pc) <= PAGE_SIZE - INSTR_BYTES {
-                    // Within-page fetch: read straight from the frame the
-                    // miss path just translated instead of walking the
-                    // page table a second time through `kread`.
-                    let off = page_offset(pc) as usize;
-                    bytes.copy_from_slice(&mem.phys().frame_bytes(pte.frame)[off..off + 8]);
-                } else if mem.kread(self.active_pt, pc, &mut bytes).is_err() {
-                    return self.fault(FaultKind::Mem(MemFault::Unmapped { addr: pc }));
-                }
-                match Instr::decode(&bytes) {
-                    Some(i) => {
-                        // Decodable aligned fetch on a translated page:
-                        // predecode the whole page for subsequent fetches.
-                        if self.fastpath && aligned {
-                            self.fill_icache(mem, pte, pc);
-                        }
-                        i
-                    }
-                    None => return self.fault(FaultKind::BadInstr(bytes[0])),
-                }
+        // A misaligned PC can make the 8-byte fetch spill into the next
+        // page; that page must be executable and belong to the same domain
+        // (the crossing check above only covered the first page).
+        if page_offset(pc) > PAGE_SIZE - INSTR_BYTES {
+            let next_page = page_align_down(pc) + PAGE_SIZE;
+            let pte2 = match mem.translate(self.active_pt, next_page, Access::Exec) {
+                Ok(p) => p,
+                Err(f) => return self.fault(FaultKind::Mem(f)),
+            };
+            if !self.kernel_mode && pte2.tag != pte.tag {
+                return self.fault(FaultKind::Codoms(CheckError::Denied {
+                    from: self.cur_dom,
+                    to: pte2.tag,
+                    addr: next_page,
+                }));
             }
+        }
+        let mut bytes = [0u8; 8];
+        if page_offset(pc) <= PAGE_SIZE - INSTR_BYTES {
+            // Within-page fetch: read straight from the frame just
+            // translated instead of walking the page table a second time
+            // through `kread`.
+            let off = page_offset(pc) as usize;
+            bytes.copy_from_slice(&mem.phys().frame_bytes(pte.frame)[off..off + 8]);
+        } else if mem.kread(self.active_pt, pc, &mut bytes).is_err() {
+            return self.fault(FaultKind::Mem(MemFault::Unmapped { addr: pc }));
+        }
+        let Some(instr) = Instr::decode(&bytes) else {
+            return self.fault(FaultKind::BadInstr(bytes[0]));
         };
 
         // --- Privilege check ---
@@ -978,19 +914,6 @@ impl Cpu {
     #[inline]
     fn fault(&self, kind: FaultKind) -> StepEvent {
         StepEvent::Fault(Fault { pc: self.pc, kind })
-    }
-
-    /// Predecodes the page under `pc` into the instruction cache and marks
-    /// its frame as code so later writes to it bump the global code epoch.
-    /// (`mark_code` itself does not bump the epoch, so the snapshot taken
-    /// here stays valid until the frame is actually written or freed.)
-    fn fill_icache(&mut self, mem: &mut Memory, pte: Pte, pc: u64) {
-        let pt = self.active_pt;
-        let table_gen = mem.table_generation(pt);
-        let code_epoch = mem.code_epoch();
-        let page = mem.phys().frame_bytes(pte.frame);
-        self.icache.fill(pt, vpn(pc), table_gen, code_epoch, pte, page);
-        mem.phys_mut().mark_code(pte.frame);
     }
 
     pub(crate) fn execute(
@@ -1536,7 +1459,7 @@ impl Cpu {
         size: u64,
         write: bool,
     ) -> Option<(Pte, DGrant, bool, bool)> {
-        if !self.xblocks || page_offset(addr) > PAGE_SIZE - size {
+        if !self.fast || page_offset(addr) > PAGE_SIZE - size {
             return None;
         }
         let pt = self.active_pt;
@@ -1571,7 +1494,7 @@ impl Cpu {
         addr: u64,
         size: u64,
     ) -> Option<(Pte, DGrant, bool, bool)> {
-        if !self.xblocks || page_offset(addr) > PAGE_SIZE - size {
+        if !self.fast || page_offset(addr) > PAGE_SIZE - size {
             return None;
         }
         let pt = self.active_pt;

@@ -1,5 +1,5 @@
 //! Per-CPU memory-operand translation cache (the data-side companion of
-//! the fetch-side caches in [`crate::icache`] / [`crate::blocks`]).
+//! the fetch-side block cache in [`crate::blocks`]).
 //!
 //! Every simulated load/store pays a full [`simmem`] page walk plus the
 //! CODOMs data check in `Cpu::data_access`, and then a *second* walk
@@ -36,8 +36,8 @@
 //! cached (the tamper fault must fire). Accesses that straddle a page
 //! boundary bypass the cache entirely.
 //!
-//! Gated by `CDVM_NO_XBLOCKS=1` ([`simmem::xblocks_enabled`]), together
-//! with the block-edge crossing descriptors.
+//! Part of the fast engine: a CPU built under `CDVM_NO_FASTPATH=1`
+//! ([`simmem::fastpath_enabled`]) never probes or fills it.
 
 use codoms::HwTag;
 use simmem::{DomainTag, PageTableId, Pte};

@@ -16,21 +16,21 @@
 //! * [`disasm`] — a disassembler for debugging and golden tests.
 //! * [`cost`] — the cycle/event cost model and the Table 3 machine config.
 //! * [`cpu`] — the executor: per-CPU architectural state (GPRs, capability
-//!   registers, DCS bounds, APL cache, TLBs) and the fetch/check/execute
-//!   loop.
-//! * [`icache`] — the host-side per-page decoded-instruction cache behind
-//!   the fetch fast path (disable with `CDVM_NO_FASTPATH=1`).
-//! * [`blocks`] — the superblock cache: straight-line instruction runs
+//!   registers, DCS bounds, APL cache, TLBs) and the two engines behind
+//!   `Cpu::run`. The *reference* is `Cpu::step` in a loop: every fetch is
+//!   translated, checked and decoded from scratch, with no host cache of
+//!   any kind. The *fast* engine (the default) is the three modules below;
+//!   `CDVM_NO_FASTPATH=1` selects the reference instead, and the two are
+//!   differentially tested byte-identical.
+//! * [`blocks`] — the superblock cache: instruction runs decoded once,
 //!   validated once per entry and dispatched block-to-block with batched
-//!   cost accounting (disable with `CDVM_NO_BLOCKS=1`). Block edges also
-//!   carry pre-validated cross-domain crossing descriptors
-//!   (disable with `CDVM_NO_XBLOCKS=1`).
-//! * [`threaded`] — direct-threaded dispatch for the pure ALU prefix of a
-//!   block: pre-resolved handler pointers instead of a `match` per
-//!   instruction (disable with `CDVM_NO_THREADED=1`).
+//!   cost accounting, deadline-exact. Block edges also carry pre-validated
+//!   cross-domain crossing descriptors.
+//! * [`threaded`] — direct-threaded dispatch for the pure instructions of
+//!   a block: pre-resolved handler pointers instead of a `match` per
+//!   instruction.
 //! * [`dcache`] — the per-CPU memory-operand translation cache: repeated
-//!   same-page loads/stores skip the full page walk and CODOMs data check
-//!   (shares the `CDVM_NO_XBLOCKS=1` kill switch).
+//!   same-page loads/stores skip the full page walk and CODOMs data check.
 
 pub mod asm;
 pub mod blocks;
@@ -38,7 +38,6 @@ pub mod cost;
 pub mod cpu;
 pub mod dcache;
 pub mod disasm;
-pub mod icache;
 pub mod isa;
 pub mod stats;
 pub mod threaded;
@@ -47,6 +46,5 @@ pub use asm::{Asm, Reloc, RelocKind};
 pub use blocks::{BlockCache, BlockStats};
 pub use cost::{CostModel, MachineConfig};
 pub use cpu::{Cpu, Fault, FaultKind, RunExit, StepEvent};
-pub use icache::InstrCache;
 pub use isa::{reg, CapReg, Instr, Reg, INSTR_BYTES};
 pub use stats::{ExecStats, HostCacheStats, InstrClass, TraceRing};

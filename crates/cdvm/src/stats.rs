@@ -94,21 +94,26 @@ impl InstrClass {
     }
 }
 
-/// Host-side cache counters for the two fetch fast paths: the per-page
-/// decoded-instruction cache ([`crate::icache`]) and the superblock cache
-/// ([`crate::blocks`]). Pure host telemetry — none of these influence
-/// simulated cycles. Read on demand with `Cpu::host_cache_stats`, and
-/// exported to the simtrace metrics summary as `host.*` counters at the
-/// end of every `Cpu::run` while tracing is enabled.
+/// Host-side cache counters of the fast engine: the superblock cache with
+/// its crossing descriptors ([`crate::blocks`]) and the data-operand cache
+/// ([`crate::dcache`]). Pure host telemetry — none of these influence
+/// simulated cycles, and all stay zero on the reference engine. Read on
+/// demand with `Cpu::host_cache_stats`, and exported to the simtrace
+/// metrics summary as `host.*` counters at the end of every `Cpu::run`
+/// while tracing is enabled.
+///
+/// The four `icache_*` fields are always 0 since the icache tier was
+/// removed; delete together with `cdvm.icache_hit_rate` in a `benchmark`
+/// PR (`benchmark/` builds this struct with a full literal).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostCacheStats {
-    /// Decoded-instruction-cache lookups served.
+    /// Always 0 (see above).
     pub icache_hits: u64,
-    /// Decoded-instruction-cache lookups that found no valid entry.
+    /// Always 0 (see above).
     pub icache_misses: u64,
-    /// Whole-page predecodes installed.
+    /// Always 0 (see above).
     pub icache_fills: u64,
-    /// Fills that displaced a different live page.
+    /// Always 0 (see above).
     pub icache_evicts: u64,
     /// Block-cache lookups served by a valid block.
     pub block_hits: u64,
@@ -170,7 +175,7 @@ impl HostCacheStats {
         }
     }
 
-    /// Decoded-instruction-cache hit rate in `[0, 1]`.
+    /// Always 0.0 (the icache tier was removed; see the struct docs).
     pub fn icache_hit_rate(&self) -> f64 {
         let total = self.icache_hits + self.icache_misses;
         if total == 0 {

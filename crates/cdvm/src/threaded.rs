@@ -23,10 +23,11 @@
 //!
 //! The dispatch is only taken while instrumentation is off (per-class
 //! [`crate::stats::ExecStats`] recording is the one observable the tight
-//! loop skips) and is disabled entirely by `CDVM_NO_THREADED=1`
-//! ([`simmem::threaded_enabled`]). Simulated cycles, registers and PC are
-//! bit-identical either way — asserted instruction-by-instruction against
-//! `execute()` by the unit test below.
+//! loop skips); instrumented runs and the reference engine go through
+//! `execute()`, which keeps its own arm for every op precisely so that it
+//! stays the specification these handlers are tested against. Simulated
+//! cycles, registers and PC are bit-identical either way — asserted
+//! instruction-by-instruction against `execute()` by the unit test below.
 
 use crate::blocks::BlockInstr;
 use crate::cost::CostModel;

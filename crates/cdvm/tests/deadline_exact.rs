@@ -5,139 +5,37 @@
 //! TLB and APL-cache counters, same fault at the same PC. Every width from
 //! 1 to 700 cycles is swept, so every instruction of every block is, for
 //! some width, the one a deadline lands on (mid pure prefix, between a
-//! load and a store, on a crossing edge, on a step-only entry, right
-//! before a fault).
+//! load and a store, on a crossing edge, on a one-instruction
+//! unbounded-cost block, right before a fault).
 //!
 //! The 620-cycle `sync_window` slices of the multi-core workloads are what
 //! this models; the pollution test at the bottom pins the reason the
 //! budgeted/resume path exists (no block is formed at a mid-block PC just
 //! because a slice ended there).
 
+mod common;
+
 use cdvm::isa::reg::*;
-use cdvm::{Asm, CostModel, Cpu, Instr, RunExit, StepEvent};
-use codoms::apl::{Apl, Perm};
-use codoms::cap::RevocationTable;
-use simmem::{DomainTag, Memory, PageFlags, TlbStats, PAGE_SIZE};
-
-const CODE: u64 = 0x10_000;
-const DATA: u64 = 0x20_000;
-const FAR: u64 = 0x40_000;
-
-/// The engine switches are process-global and sampled at `Cpu::new`; every
-/// run constructs its CPU under this lock.
-static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// `(blocks, xblocks, threaded)`; the first entry is the reference
-/// interpreter, the rest the block engine's xblocks × threaded matrix.
-const MODES: [(bool, bool, bool); 5] = [
-    (false, false, false),
-    (true, false, false),
-    (true, false, true),
-    (true, true, false),
-    (true, true, true),
-];
-
-struct World {
-    mem: Memory,
-    cpu: Cpu,
-    rev: RevocationTable,
-    cost: CostModel,
-}
-
-/// Everything the simulation can observe about the CPU after one slice.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Snap {
-    exit: RunExit,
-    cycles: u64,
-    pc: u64,
-    regs: [u64; 32],
-    retired: u64,
-    cur_dom: DomainTag,
-    crossings: u64,
-    itlb: TlbStats,
-    dtlb: TlbStats,
-    apl: (u64, u64),
-}
-
-/// A fresh two-domain world: `CODE` (domain 1, two RX pages) holds
-/// `caller`, `FAR` (domain 2) holds `callee`, `DATA` is two RW pages of
-/// domain 1; both domains hold an APL grant to the other.
-fn world(caller: &[u8], callee: &[u8], (blocks, xblocks, threaded): (bool, bool, bool)) -> World {
-    simmem::set_blocks(Some(blocks));
-    simmem::set_xblocks(Some(xblocks));
-    simmem::set_threaded(Some(threaded));
-    let mut mem = Memory::new();
-    let pt = Memory::GLOBAL_PT;
-    mem.map_anon(pt, CODE, 2, PageFlags::RX, DomainTag(1));
-    mem.kwrite(pt, CODE, caller).unwrap();
-    mem.map_anon(pt, FAR, 1, PageFlags::RX, DomainTag(2));
-    mem.kwrite(pt, FAR, callee).unwrap();
-    mem.map_anon(pt, DATA, 2, PageFlags::RW, DomainTag(1));
-    let mut cpu = Cpu::new(0);
-    simmem::set_blocks(None);
-    simmem::set_xblocks(None);
-    simmem::set_threaded(None);
-    cpu.pc = CODE;
-    cpu.cur_dom = DomainTag(1);
-    cpu.thread = 1;
-    let mut to2 = Apl::new();
-    to2.set(DomainTag(2), Perm::Read);
-    cpu.apl_cache.fill(DomainTag(1), to2);
-    let mut back = Apl::new();
-    back.set(DomainTag(1), Perm::Write);
-    cpu.apl_cache.fill(DomainTag(2), back);
-    World { mem, cpu, rev: RevocationTable::new(), cost: CostModel::default() }
-}
-
-/// Runs the world to `Halt` in slices of `width` cycles, the way the
-/// kernel does: a fault is "handled" by skipping the faulting instruction,
-/// an `Ecall` by returning. Returns one snapshot per slice.
-fn drive(w: &mut World, width: u64) -> Vec<Snap> {
-    let mut snaps = Vec::new();
-    loop {
-        let deadline = w.cpu.cycles + width;
-        let exit = w.cpu.run(&mut w.mem, &mut w.rev, &w.cost, deadline);
-        snaps.push(Snap {
-            exit,
-            cycles: w.cpu.cycles,
-            pc: w.cpu.pc,
-            regs: w.cpu.regs,
-            retired: w.cpu.retired,
-            cur_dom: w.cpu.cur_dom,
-            crossings: w.cpu.domain_crossings,
-            itlb: w.cpu.itlb.stats(),
-            dtlb: w.cpu.dtlb.stats(),
-            apl: w.cpu.apl_cache.stats(),
-        });
-        match exit.event {
-            StepEvent::Halt => return snaps,
-            StepEvent::Fault(f) => w.cpu.pc = f.pc + 8,
-            StepEvent::Retired | StepEvent::Ecall => {}
-            StepEvent::AplMiss(tag) => panic!("APL miss for {tag:?}: both APLs are resident"),
-        }
-        assert!(snaps.len() < 200_000, "program does not terminate");
-    }
-}
+use cdvm::{Asm, Instr, StepEvent};
+use common::{drive, world, CODE, DATA, FAR};
+use simmem::{PageFlags, PAGE_SIZE};
 
 /// Sweeps every slice width 1..=700 and demands slice-for-slice equality
-/// with the interpreter in every engine mode — and that the sweep did run
-/// blocks budgeted and resume them.
+/// of the fast engine with the reference interpreter — and that the sweep
+/// did run blocks budgeted and resume them.
 fn assert_exact(name: &str, caller: &[u8], callee: &[u8]) {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (mut budgeted, mut resumes) = (0, 0);
     for width in 1..=700u64 {
-        let base = drive(&mut world(caller, callee, MODES[0]), width);
+        let base = drive(&mut world(caller, callee, PageFlags::RX, false), |_| width);
         assert_eq!(base.last().expect("ran").exit.event, StepEvent::Halt);
-        for mode in &MODES[1..] {
-            let mut w = world(caller, callee, *mode);
-            let got = drive(&mut w, width);
-            for (i, (g, b)) in got.iter().zip(&base).enumerate() {
-                assert_eq!(g, b, "{name}: width {width}, slice {i}, mode {mode:?}");
-            }
-            assert_eq!(got.len(), base.len(), "{name}: width {width}, mode {mode:?}");
-            budgeted += w.cpu.block_stats().budgeted;
-            resumes += w.cpu.block_stats().resumes;
+        let mut w = world(caller, callee, PageFlags::RX, true);
+        let got = drive(&mut w, |_| width);
+        for (i, (g, b)) in got.iter().zip(&base).enumerate() {
+            assert_eq!(g, b, "{name}: width {width}, slice {i}");
         }
+        assert_eq!(got.len(), base.len(), "{name}: width {width}");
+        budgeted += w.cpu.block_stats().budgeted;
+        resumes += w.cpu.block_stats().resumes;
     }
     assert!(budgeted > 0 && resumes > 0, "{name}: budgeted {budgeted}, resumed {resumes}");
 }
@@ -195,7 +93,7 @@ fn load_store_heavy() -> Vec<u8> {
 
 /// Domain 1 does data traffic and jumps into domain 2, which stores into
 /// domain 1's data page (APL-granted), counts, and jumps back: both edges
-/// carry crossing descriptors in xblocks modes.
+/// carry crossing descriptors.
 fn ping_pong() -> (Vec<u8>, Vec<u8>) {
     let mut a = Asm::new();
     a.li(T0, DATA);
@@ -220,7 +118,7 @@ fn ping_pong() -> (Vec<u8>, Vec<u8>) {
 
 /// A loop whose body raises (and the driver skips) a division by zero, a
 /// store to a read-execute page, a privileged instruction and an
-/// undecodable slot, and runs through the two step-only entries
+/// undecodable slot, and runs through two unbounded-cost instructions
 /// (register-driven `Work`, `MemCpy`) — each mid-block, each preceded and
 /// followed by ordinary instructions.
 fn fault_raising() -> Vec<u8> {
@@ -279,17 +177,16 @@ fn fault_raising_is_exact_at_every_slice_width() {
 /// a fresh suffix block at every such PC.)
 #[test]
 fn slicing_forms_no_extra_blocks() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (caller, callee) = ping_pong();
     for (name, caller, callee) in [
         ("loop-heavy", loop_heavy(), halt_only()),
         ("load/store-heavy", load_store_heavy(), halt_only()),
         ("ping-pong", caller, callee),
     ] {
-        let mut long = world(&caller, &callee, (true, true, true));
-        assert_eq!(drive(&mut long, 50_000_000).len(), 1, "{name}: one slice");
-        let mut sliced = world(&caller, &callee, (true, true, true));
-        assert!(drive(&mut sliced, 620).len() > 3, "{name}: must actually be sliced");
+        let mut long = world(&caller, &callee, PageFlags::RX, true);
+        assert_eq!(drive(&mut long, |_| 50_000_000).len(), 1, "{name}: one slice");
+        let mut sliced = world(&caller, &callee, PageFlags::RX, true);
+        assert!(drive(&mut sliced, |_| 620).len() > 3, "{name}: must actually be sliced");
         let (l, s) = (long.cpu.block_stats(), sliced.cpu.block_stats());
         assert_eq!(s.fills, l.fills, "{name}: 620-cycle slices formed extra blocks");
         assert_eq!(s.evict_conflicts, 0, "{name}");

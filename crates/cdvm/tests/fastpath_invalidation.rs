@@ -1,56 +1,73 @@
-//! Invalidation correctness for the fetch fast path: after the decoded
-//! instruction cache has been warmed, every kind of mapping or content
-//! mutation must be visible to the very next fetch. Each test warms the
-//! cache by running a program, mutates state mid-run, and asserts the CPU
-//! behaves as if no cache existed.
-//!
-//! The tests pass identically with `CDVM_NO_FASTPATH=1` (the caches are
-//! bypassed but the observable behavior is the same by design).
+//! Invalidation correctness of the fast engine: once its caches are warm
+//! (superblocks and chain hints, crossing descriptors, the operand cache,
+//! the host translation cache), every kind of mapping, content or
+//! authority mutation must be visible to the very next fetch. Each test
+//! warms the caches by running a program, mutates state mid-run, and
+//! asserts the CPU behaves as if no cache existed — by running the same
+//! scenario on the reference interpreter, which has none, and demanding
+//! the identical outcome.
+
+mod common;
 
 use cdvm::isa::reg::*;
-use cdvm::{Asm, CostModel, Cpu, FaultKind, Instr, StepEvent};
-use codoms::apl::Apl;
-use codoms::cap::RevocationTable;
+use cdvm::{Asm, CostModel, Cpu, FaultKind, HostCacheStats, Instr, StepEvent};
+use codoms::apl::{Apl, Perm};
+use codoms::cap::{CapKind, Capability, RevocationTable};
+use common::{engine_name, on_engine, ENGINES};
 use simmem::{DomainTag, MemFault, Memory, PageFlags, PAGE_SIZE};
 
 const CODE: u64 = 0x10_000;
 
+/// A machine on the chosen engine: every `(base, flags, domain, code)`
+/// page mapped and filled, the CPU (thread 1, in domain 1) at the first.
+fn machine(fast: bool, pages: &[(u64, PageFlags, u32, &[u8])]) -> (Memory, Cpu) {
+    let (mut mem, mut cpu) = on_engine(fast, || (Memory::new(), Cpu::new(0)));
+    for &(base, flags, dom, code) in pages {
+        mem.map_anon(Memory::GLOBAL_PT, base, 1, flags, DomainTag(dom));
+        mem.kwrite(Memory::GLOBAL_PT, base, code).unwrap();
+    }
+    cpu.pc = pages[0].0;
+    cpu.cur_dom = DomainTag(1);
+    cpu.thread = 1;
+    (mem, cpu)
+}
+
+/// Makes domain `from`'s APL resident with exactly the grant `to: perm`
+/// (`Perm::Nil`: resident and empty).
+fn grant(cpu: &mut Cpu, from: u32, to: u32, perm: Perm) {
+    let mut apl = Apl::new();
+    apl.set(DomainTag(to), perm);
+    cpu.apl_cache.fill(DomainTag(from), apl);
+}
+
 struct Env {
+    fast: bool,
     mem: Memory,
     cpu: Cpu,
     rev: RevocationTable,
-    cost: CostModel,
 }
 
 impl Env {
-    fn new(code: &[u8]) -> Env {
-        let mut mem = Memory::new();
-        let pt = Memory::GLOBAL_PT;
-        mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-        mem.kwrite(pt, CODE, code).unwrap();
-        let mut cpu = Cpu::new(0);
-        cpu.pc = CODE;
-        cpu.cur_dom = DomainTag(1);
-        cpu.thread = 1;
-        Env { mem, cpu, rev: RevocationTable::new(), cost: CostModel::default() }
+    fn new(code: &[u8], fast: bool) -> Env {
+        let (mem, cpu) = machine(fast, &[(CODE, PageFlags::RX, 1, code)]);
+        Env { fast, mem, cpu, rev: RevocationTable::new() }
     }
 
+    /// Runs from the current PC to the next event.
     fn run(&mut self) -> StepEvent {
-        loop {
-            match self.cpu.step(&mut self.mem, &mut self.rev, &self.cost) {
-                StepEvent::Retired => continue,
-                ev => return ev,
-            }
-        }
+        run_to_event(&mut self.cpu, &mut self.mem, &mut self.rev)
     }
 
-    /// Asserts the decoded-page cache actually served hits (only meaningful
-    /// when the fast path is on; a no-op under `CDVM_NO_FASTPATH=1`).
-    fn assert_icache_used(&self) {
-        if simmem::fastpath_enabled() {
-            let (hits, fills) = self.cpu.icache_stats();
-            assert!(fills > 0, "expected at least one icache fill");
-            assert!(hits > 0, "expected icache hits, got fills={fills}");
+    /// Runs the program at `CODE` to `Halt` twice, so that on the fast
+    /// engine the second pass is served from the block cache.
+    fn warm(&mut self) {
+        for _ in 0..2 {
+            self.cpu.pc = CODE;
+            assert_eq!(self.run(), StepEvent::Halt);
+        }
+        if self.fast {
+            let b = self.cpu.block_stats();
+            assert!(b.fills > 0 && b.hits > 0, "the warm-up must be served from blocks: {b:?}");
         }
     }
 }
@@ -71,15 +88,16 @@ fn write_to_exec_page_is_seen_by_next_fetch() {
     // Self-modifying code: dIPC patches proxy templates at runtime (§6.1.1),
     // so a store to an already-executed page must invalidate its decoded
     // block via the code epoch.
-    let mut env = Env::new(&program(1));
-    assert_eq!(env.run(), StepEvent::Halt);
-    assert_eq!(env.cpu.reg(A0), 1);
-    env.assert_icache_used();
+    for fast in ENGINES {
+        let mut env = Env::new(&program(1), fast);
+        env.warm();
+        assert_eq!(env.cpu.reg(A0), 1);
 
-    env.mem.kwrite(Memory::GLOBAL_PT, CODE, &program(2)).unwrap();
-    env.cpu.pc = CODE;
-    assert_eq!(env.run(), StepEvent::Halt);
-    assert_eq!(env.cpu.reg(A0), 2, "stale decoded block served after code write");
+        env.mem.kwrite(Memory::GLOBAL_PT, CODE, &program(2)).unwrap();
+        env.cpu.pc = CODE;
+        assert_eq!(env.run(), StepEvent::Halt);
+        assert_eq!(env.cpu.reg(A0), 2, "stale decoded block served after code write");
+    }
 }
 
 #[test]
@@ -87,52 +105,56 @@ fn remap_mid_run_swaps_the_code_page() {
     // Unmap + remap puts a different frame under the same vpn; the table
     // generation bump must invalidate both the translation and the decoded
     // block.
-    let mut env = Env::new(&program(1));
-    assert_eq!(env.run(), StepEvent::Halt);
-    env.assert_icache_used();
+    for fast in ENGINES {
+        let mut env = Env::new(&program(1), fast);
+        env.warm();
 
-    env.mem.unmap(Memory::GLOBAL_PT, CODE, 1);
-    env.mem.map_anon(Memory::GLOBAL_PT, CODE, 1, PageFlags::RX, DomainTag(1));
-    env.mem.kwrite(Memory::GLOBAL_PT, CODE, &program(3)).unwrap();
-    env.cpu.pc = CODE;
-    assert_eq!(env.run(), StepEvent::Halt);
-    assert_eq!(env.cpu.reg(A0), 3, "stale decoded block served after remap");
+        env.mem.unmap(Memory::GLOBAL_PT, CODE, 1);
+        env.mem.map_anon(Memory::GLOBAL_PT, CODE, 1, PageFlags::RX, DomainTag(1));
+        env.mem.kwrite(Memory::GLOBAL_PT, CODE, &program(3)).unwrap();
+        env.cpu.pc = CODE;
+        assert_eq!(env.run(), StepEvent::Halt);
+        assert_eq!(env.cpu.reg(A0), 3, "stale decoded block served after remap");
+    }
 }
 
 #[test]
 fn recycled_frame_does_not_serve_stale_code() {
     // Freeing the code frame and reallocating (the slab recycles frame
     // numbers) must not resurrect the old decoded block.
-    let mut env = Env::new(&program(1));
-    assert_eq!(env.run(), StepEvent::Halt);
+    for fast in ENGINES {
+        let mut env = Env::new(&program(1), fast);
+        env.warm();
 
-    env.mem.unmap(Memory::GLOBAL_PT, CODE, 1);
-    // The very next alloc reuses the freed frame number.
-    env.mem.map_anon(Memory::GLOBAL_PT, CODE, 1, PageFlags::RX, DomainTag(1));
-    env.mem.kwrite(Memory::GLOBAL_PT, CODE, &program(4)).unwrap();
-    env.cpu.pc = CODE;
-    assert_eq!(env.run(), StepEvent::Halt);
-    assert_eq!(env.cpu.reg(A0), 4);
+        env.mem.unmap(Memory::GLOBAL_PT, CODE, 1);
+        // The very next alloc reuses the freed frame number.
+        env.mem.map_anon(Memory::GLOBAL_PT, CODE, 1, PageFlags::RX, DomainTag(1));
+        env.mem.kwrite(Memory::GLOBAL_PT, CODE, &program(4)).unwrap();
+        env.cpu.pc = CODE;
+        assert_eq!(env.run(), StepEvent::Halt);
+        assert_eq!(env.cpu.reg(A0), 4);
+    }
 }
 
 #[test]
 fn protect_removes_exec_from_cached_page() {
-    let mut env = Env::new(&program(1));
-    assert_eq!(env.run(), StepEvent::Halt);
-    env.assert_icache_used();
+    for fast in ENGINES {
+        let mut env = Env::new(&program(1), fast);
+        env.warm();
 
-    env.mem.table_mut(Memory::GLOBAL_PT).protect(CODE, PageFlags::READ);
-    env.cpu.pc = CODE;
-    match env.run() {
-        StepEvent::Fault(f) => {
-            assert_eq!(f.pc, CODE);
-            assert!(
-                matches!(f.kind, FaultKind::Mem(MemFault::Protection { .. })),
-                "expected protection fault, got {:?}",
-                f.kind
-            );
+        env.mem.table_mut(Memory::GLOBAL_PT).protect(CODE, PageFlags::READ);
+        env.cpu.pc = CODE;
+        match env.run() {
+            StepEvent::Fault(f) => {
+                assert_eq!(f.pc, CODE);
+                assert!(
+                    matches!(f.kind, FaultKind::Mem(MemFault::Protection { .. })),
+                    "expected protection fault, got {:?}",
+                    f.kind
+                );
+            }
+            ev => panic!("cached translation bypassed protect: {ev:?}"),
         }
-        ev => panic!("cached translation bypassed protect: {ev:?}"),
     }
 }
 
@@ -141,46 +163,52 @@ fn set_tag_on_cached_page_triggers_domain_check() {
     // Re-tagging the code page mid-run (dom_remap, Table 2) turns the next
     // fetch into a domain crossing, which an empty APL must deny. A stale
     // cached Pte would skip the check entirely.
-    let mut env = Env::new(&program(1));
-    env.cpu.apl_cache.fill(DomainTag(1), Apl::new());
-    assert_eq!(env.run(), StepEvent::Halt);
-    env.assert_icache_used();
+    for fast in ENGINES {
+        let mut env = Env::new(&program(1), fast);
+        env.cpu.apl_cache.fill(DomainTag(1), Apl::new());
+        env.warm();
 
-    env.mem.table_mut(Memory::GLOBAL_PT).set_tag(CODE, DomainTag(2));
-    env.cpu.pc = CODE;
-    match env.run() {
-        StepEvent::Fault(f) => {
-            assert!(
-                matches!(f.kind, FaultKind::Codoms(_)),
-                "expected CODOMs denial after re-tag, got {:?}",
-                f.kind
-            );
+        env.mem.table_mut(Memory::GLOBAL_PT).set_tag(CODE, DomainTag(2));
+        env.cpu.pc = CODE;
+        match env.run() {
+            StepEvent::Fault(f) => {
+                assert!(
+                    matches!(f.kind, FaultKind::Codoms(_)),
+                    "expected CODOMs denial after re-tag, got {:?}",
+                    f.kind
+                );
+            }
+            ev => panic!("cached tag bypassed the crossing check: {ev:?}"),
         }
-        StepEvent::AplMiss(tag) => assert_eq!(tag, DomainTag(1)),
-        ev => panic!("cached tag bypassed the crossing check: {ev:?}"),
     }
 }
 
 #[test]
 fn undecodable_slot_faults_with_exact_byte_on_hot_page() {
-    // A page that is cached but holds garbage at one slot must raise the
-    // same BadInstr fault (carrying the first raw byte) as the slow path.
+    // A page with cached blocks that holds garbage at one slot must raise
+    // the same BadInstr fault (carrying the first raw byte) as the
+    // reference — on the first visit and again from the cached step-only
+    // entry.
     let mut a = Asm::new();
     a.push(Instr::Movi { rd: A0, imm: 7 });
     a.push(Instr::Halt);
     let mut bytes = a.finish().bytes;
     bytes.extend_from_slice(&[0xee; 8]); // undecodable slot 2
-    let mut env = Env::new(&bytes);
-    assert_eq!(env.run(), StepEvent::Halt);
+    for fast in ENGINES {
+        let mut env = Env::new(&bytes, fast);
+        env.warm();
 
-    // Jump straight at the garbage slot on the now-cached page.
-    env.cpu.pc = CODE + 16;
-    match env.run() {
-        StepEvent::Fault(f) => {
-            assert_eq!(f.pc, CODE + 16);
-            assert_eq!(f.kind, FaultKind::BadInstr(0xee));
+        // Jump straight at the garbage slot on the now-cached page.
+        for _ in 0..2 {
+            env.cpu.pc = CODE + 16;
+            match env.run() {
+                StepEvent::Fault(f) => {
+                    assert_eq!(f.pc, CODE + 16);
+                    assert_eq!(f.kind, FaultKind::BadInstr(0xee));
+                }
+                ev => panic!("expected BadInstr, got {ev:?}"),
+            }
         }
-        ev => panic!("expected BadInstr, got {ev:?}"),
     }
 }
 
@@ -188,13 +216,15 @@ fn undecodable_slot_faults_with_exact_byte_on_hot_page() {
 fn misaligned_fetch_cannot_spill_into_unmapped_page() {
     // An 8-byte fetch starting 4 bytes before the end of the last mapped
     // page would read into the unmapped neighbour; it must fault cleanly.
-    let mut env = Env::new(&program(1));
-    env.cpu.pc = CODE + PAGE_SIZE - 4;
-    match env.run() {
-        StepEvent::Fault(f) => {
-            assert!(matches!(f.kind, FaultKind::Mem(MemFault::Unmapped { .. })));
+    for fast in ENGINES {
+        let mut env = Env::new(&program(1), fast);
+        env.cpu.pc = CODE + PAGE_SIZE - 4;
+        match env.run() {
+            StepEvent::Fault(f) => {
+                assert!(matches!(f.kind, FaultKind::Mem(MemFault::Unmapped { .. })));
+            }
+            ev => panic!("expected unmapped fault, got {ev:?}"),
         }
-        ev => panic!("expected unmapped fault, got {ev:?}"),
     }
 }
 
@@ -202,20 +232,81 @@ fn misaligned_fetch_cannot_spill_into_unmapped_page() {
 fn misaligned_fetch_cannot_spill_into_foreign_domain() {
     // Same, but the neighbour page is mapped executable under another
     // domain: the straddling fetch is a hidden crossing and must be denied.
-    let mut env = Env::new(&program(1));
-    env.mem.map_anon(Memory::GLOBAL_PT, CODE + PAGE_SIZE, 1, PageFlags::RX, DomainTag(2));
-    env.cpu.apl_cache.fill(DomainTag(1), Apl::new());
-    env.cpu.pc = CODE + PAGE_SIZE - 4;
-    match env.run() {
-        StepEvent::Fault(f) => {
-            assert!(
-                matches!(f.kind, FaultKind::Codoms(_)),
-                "straddling fetch must be checked, got {:?}",
-                f.kind
-            );
+    for fast in ENGINES {
+        let mut env = Env::new(&program(1), fast);
+        env.mem.map_anon(Memory::GLOBAL_PT, CODE + PAGE_SIZE, 1, PageFlags::RX, DomainTag(2));
+        env.cpu.apl_cache.fill(DomainTag(1), Apl::new());
+        env.cpu.pc = CODE + PAGE_SIZE - 4;
+        match env.run() {
+            StepEvent::Fault(f) => {
+                assert!(
+                    matches!(f.kind, FaultKind::Codoms(_)),
+                    "straddling fetch must be checked, got {:?}",
+                    f.kind
+                );
+            }
+            ev => panic!("expected CODOMs fault, got {ev:?}"),
         }
-        ev => panic!("expected CODOMs fault, got {ev:?}"),
     }
+}
+
+#[test]
+fn reference_engine_touches_no_host_cache() {
+    // The reference interpreter is the specification: it translates and
+    // decodes every fetch from scratch. A run with loads, stores, a byte
+    // access, an atomic, a `MemCpy` and a domain crossing must leave every
+    // host-cache counter at zero, and a remap or re-tag between two slices
+    // is seen by the next fetch with nothing to invalidate.
+    const DATA: u64 = 0x20_000;
+    const FAR: u64 = 0x70_000;
+    let mut a = Asm::new();
+    a.li(T0, DATA);
+    a.li(T1, DATA + 512);
+    a.li(T2, 64);
+    a.push(Instr::St { rs1: T0, rs2: T2, imm: 0 });
+    a.push(Instr::Ld { rd: A0, rs1: T0, imm: 0 });
+    a.push(Instr::Stb { rs1: T0, rs2: T2, imm: 9 });
+    a.push(Instr::Amoadd { rd: A1, rs1: T0, rs2: T2 });
+    a.push(Instr::MemCpy { rd: T1, rs1: T0, rs2: T2 });
+    let here = a.here();
+    a.push(Instr::Jal { rd: 0, imm: (FAR - (CODE + here)) as i32 });
+    let caller = a.finish().bytes;
+    let callee = |v: i32| {
+        let mut a = Asm::new();
+        a.push(Instr::Movi { rd: A2, imm: v });
+        a.push(Instr::Halt);
+        a.finish().bytes
+    };
+
+    let mut env = Env::new(&caller, false);
+    let pt = Memory::GLOBAL_PT;
+    assert!(!env.mem.fastpath(), "the reference has no host translation cache either");
+    env.mem.map_anon(pt, DATA, 1, PageFlags::RW, DomainTag(1));
+    env.mem.map_anon(pt, FAR, 1, PageFlags::RX, DomainTag(2));
+    env.mem.kwrite(pt, FAR, &callee(5)).unwrap();
+    grant(&mut env.cpu, 1, 2, Perm::Read);
+    assert_eq!(env.run(), StepEvent::Halt);
+    assert_eq!((env.cpu.reg(A0), env.cpu.reg(A2), env.cpu.domain_crossings), (64, 5, 1));
+    assert_eq!(env.cpu.host_cache_stats(), HostCacheStats::default());
+    assert_eq!(env.mem.code_epoch(), 0, "no frame was ever marked as code");
+
+    // Remap the callee between two slices: the new bytes run.
+    env.mem.unmap(pt, FAR, 1);
+    env.mem.map_anon(pt, FAR, 1, PageFlags::RX, DomainTag(2));
+    env.mem.kwrite(pt, FAR, &callee(6)).unwrap();
+    (env.cpu.pc, env.cpu.cur_dom) = (CODE, DomainTag(1));
+    assert_eq!(env.run(), StepEvent::Halt);
+    assert_eq!(env.cpu.reg(A2), 6);
+
+    // Re-tag it to a domain the caller holds no grant for: denied.
+    env.mem.table_mut(pt).set_tag(FAR, DomainTag(3));
+    (env.cpu.pc, env.cpu.cur_dom) = (CODE, DomainTag(1));
+    let ev = env.run();
+    assert!(
+        matches!(ev, StepEvent::Fault(f) if f.pc == FAR && matches!(f.kind, FaultKind::Codoms(_))),
+        "{ev:?}"
+    );
+    assert_eq!(env.cpu.host_cache_stats(), HostCacheStats::default());
 }
 
 // ---------------------------------------------------------------------
@@ -237,12 +328,13 @@ struct Smp {
 }
 
 impl Smp {
-    fn new(mem: Memory, pcs: [u64; 2]) -> Smp {
-        let cpus = [0, 1].map(|i| {
-            let mut cpu = Cpu::new(i);
-            cpu.pc = pcs[i];
+    /// Builds `world` and both CPUs on the chosen engine.
+    fn new(fast: bool, world: impl FnOnce() -> Memory, pcs: [u64; 2]) -> Smp {
+        let (mem, cpus) = on_engine(fast, || (world(), [0, 1].map(Cpu::new)));
+        let cpus = cpus.map(|mut cpu| {
+            cpu.pc = pcs[cpu.index];
             cpu.cur_dom = DomainTag(1);
-            cpu.thread = 1 + i as u64;
+            cpu.thread = 1 + cpu.index as u64;
             cpu
         });
         Smp {
@@ -322,67 +414,67 @@ fn patch_world() -> Memory {
 }
 
 #[test]
-fn cross_cpu_code_patch_invalidates_peer_icache_at_barrier() {
+fn cross_cpu_code_patch_is_seen_in_the_peers_next_slice() {
     // CPU 1 patches an instruction CPU 0 is executing in a hot loop
     // (dIPC-style run-time proxy patching, but from another CPU). CPU 0's
-    // predecode marked the frame as code, so the store bumps the code
-    // epoch, forcing CPU 0's decoded block and translation to revalidate
-    // in its next slice.
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut m = Smp::new(patch_world(), [CODE, CODE2]);
-    m.run_to_halt(1_000);
-    assert!(m.all_halted(), "spin never saw the patch");
-    assert_eq!(m.cpus[0].reg(A0), 2, "stale decoded block after cross-CPU patch");
-    if simmem::blocks_enabled() {
-        let b = m.cpus[0].block_stats();
-        assert!(b.hits > 0, "spin loop should have hit the block cache");
-    } else if simmem::fastpath_enabled() {
-        let (hits, _) = m.cpus[0].icache_stats();
-        assert!(hits > 0, "spin loop should have warmed the icache");
+    // block formation marked the frame as code, so the store bumps the
+    // code epoch, forcing CPU 0's blocks to revalidate in its next slice —
+    // which makes it leave the loop in the same round, at the same cycle,
+    // as the reference.
+    let mut outcomes = Vec::new();
+    for fast in ENGINES {
+        let mut m = Smp::new(fast, patch_world, [CODE, CODE2]);
+        let rounds = m.run_to_halt(1_000);
+        assert!(m.all_halted(), "spin never saw the patch ({})", engine_name(fast));
+        assert_eq!(m.cpus[0].reg(A0), 2, "stale decoded block after cross-CPU patch");
+        if fast {
+            let b = m.cpus[0].block_stats();
+            assert!(b.hits > 0, "spin loop should have hit the block cache");
+        }
+        outcomes.push((rounds, m.cpus[0].cycles, m.cpus[0].retired, m.cpus[1].cycles));
     }
+    assert_eq!(outcomes[0], outcomes[1], "fast engine diverged from the reference");
 }
 
 #[test]
-fn remap_between_quanta_halts_all_cpus_via_generation_bump() {
+fn remap_between_slices_halts_all_cpus_via_generation_bump() {
     // A kernel-level page flip between slices (unmap + remap of the page
     // both CPUs execute from) must invalidate every CPU's cached
     // translation and decoded block: the fresh frame is filled with
     // `Halt`, so any stale fetch would keep spinning forever.
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut a = Asm::new();
     a.label("loop");
     a.push(Instr::Addi { rd: T0, rs1: T0, imm: 1 });
     a.j("loop");
     let spin = a.finish().bytes;
-
-    let mut mem = Memory::new();
     let pt = Memory::GLOBAL_PT;
-    mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-    mem.kwrite(pt, CODE, &spin).unwrap();
 
-    let mut m = Smp::new(mem, [CODE, CODE]);
-    // Warm both CPUs' caches for two rounds.
-    m.round();
-    m.round();
-    assert!(!m.all_halted());
-    if simmem::blocks_enabled() {
-        for c in &m.cpus {
-            assert!(c.block_stats().hits > 0, "cpu{} never hit its block cache", c.index);
+    for fast in ENGINES {
+        let world = || {
+            let mut mem = Memory::new();
+            mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
+            mem.kwrite(pt, CODE, &spin).unwrap();
+            mem
+        };
+        let mut m = Smp::new(fast, world, [CODE, CODE]);
+        // Warm both CPUs' caches for two rounds.
+        m.round();
+        m.round();
+        assert!(!m.all_halted());
+        if fast {
+            for c in &m.cpus {
+                assert!(c.block_stats().hits > 0, "cpu{} never hit its block cache", c.index);
+            }
         }
-    } else if simmem::fastpath_enabled() {
-        for c in &m.cpus {
-            let (hits, _) = c.icache_stats();
-            assert!(hits > 0, "cpu{} never hit its icache", c.index);
-        }
+
+        m.mem.unmap(pt, CODE, 1);
+        m.mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
+        let halts: Vec<u8> = encode(Instr::Halt).repeat((PAGE_SIZE / 8) as usize);
+        m.mem.kwrite(pt, CODE, &halts).unwrap();
+
+        m.round();
+        assert!(m.all_halted(), "stale translation survived the remap ({})", engine_name(fast));
     }
-
-    m.mem.unmap(pt, CODE, 1);
-    m.mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-    let halts: Vec<u8> = encode(Instr::Halt).repeat((PAGE_SIZE / 8) as usize);
-    m.mem.kwrite(pt, CODE, &halts).unwrap();
-
-    m.round();
-    assert!(m.all_halted(), "stale translation survived the remap");
 }
 
 // ---------------------------------------------------------------------
@@ -390,22 +482,13 @@ fn remap_between_quanta_halts_all_cpus_via_generation_bump() {
 // every entry (including chained entries), bail mid-block on
 // self-modification, and re-run the CODOMs crossing check — which sees
 // revocation-epoch bumps — on every chained transfer. Each scenario runs
-// with the engine forced on and forced off and must end identically.
+// on the reference and on the fast engine and must end identically.
 // ---------------------------------------------------------------------
-
-use codoms::apl::Perm;
-use codoms::cap::{CapKind, Capability};
-
-/// `set_blocks` is process-global; tests that toggle it — or that condition
-/// assertions on `blocks_enabled()` around a run — hold this lock
-/// so a concurrent toggle can't desynchronise a CPU's sampled mode from the
-/// global the assertion reads.
-static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const CODE3: u64 = 0x30_000;
 
-/// Runs `cpu` through `Cpu::run` (so the block engine engages when
-/// enabled) until an event, with a generous cycle budget.
+/// Runs `cpu` through `Cpu::run` (so a fast-engine CPU dispatches blocks)
+/// until an event, with a generous cycle budget.
 fn run_to_event(cpu: &mut Cpu, mem: &mut Memory, rev: &mut RevocationTable) -> StepEvent {
     let cost = CostModel::default();
     let exit = cpu.run(mem, rev, &cost, cpu.cycles + 50_000_000);
@@ -431,27 +514,17 @@ fn store_into_own_block_bails_and_executes_patched_tail() {
     a.push(Instr::Halt);
     let code = a.finish().bytes;
 
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut outcomes = Vec::new();
-    for blocks in [false, true] {
-        simmem::set_blocks(Some(blocks));
-        let mut mem = Memory::new();
-        let pt = Memory::GLOBAL_PT;
-        mem.map_anon(pt, CODE, 1, PageFlags::RWX, DomainTag(1));
-        mem.kwrite(pt, CODE, &code).unwrap();
-        let mut cpu = Cpu::new(0);
-        cpu.pc = CODE;
-        cpu.cur_dom = DomainTag(1);
-        cpu.thread = 1;
+    for fast in ENGINES {
+        let (mut mem, mut cpu) = machine(fast, &[(CODE, PageFlags::RWX, 1, &code)]);
         let mut rev = RevocationTable::new();
         let ev = run_to_event(&mut cpu, &mut mem, &mut rev);
         assert_eq!(ev, StepEvent::Halt);
-        assert_eq!(cpu.reg(A0), 222, "stale block tail executed (blocks={blocks})");
-        if blocks {
+        assert_eq!(cpu.reg(A0), 222, "stale block tail executed ({})", engine_name(fast));
+        if fast {
             assert!(cpu.block_stats().bails >= 1, "expected a mid-block bail");
         }
         outcomes.push((ev, cpu.cycles, cpu.retired, cpu.reg(A0)));
-        simmem::set_blocks(None);
     }
     assert_eq!(outcomes[0], outcomes[1], "block engine diverged from interpreter");
 }
@@ -471,18 +544,10 @@ fn remapped_chain_target_is_reformed_not_followed() {
         a.finish().bytes
     };
 
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for blocks in [false, true] {
-        simmem::set_blocks(Some(blocks));
-        let mut mem = Memory::new();
+    for fast in ENGINES {
+        let pages = [(CODE, PageFlags::RX, 1, &jump[..]), (CODE3, PageFlags::RX, 1, &body(5))];
+        let (mut mem, mut cpu) = machine(fast, &pages);
         let pt = Memory::GLOBAL_PT;
-        mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-        mem.kwrite(pt, CODE, &jump).unwrap();
-        mem.map_anon(pt, CODE3, 1, PageFlags::RX, DomainTag(1));
-        mem.kwrite(pt, CODE3, &body(5)).unwrap();
-        let mut cpu = Cpu::new(0);
-        cpu.cur_dom = DomainTag(1);
-        cpu.thread = 1;
         let mut rev = RevocationTable::new();
         // Two warm runs: the second takes the A→B edge through the hint.
         for _ in 0..2 {
@@ -490,7 +555,7 @@ fn remapped_chain_target_is_reformed_not_followed() {
             assert_eq!(run_to_event(&mut cpu, &mut mem, &mut rev), StepEvent::Halt);
             assert_eq!(cpu.reg(A0), 5);
         }
-        if blocks {
+        if fast {
             assert!(cpu.block_stats().chains >= 1, "warm jump should chain");
         }
         mem.unmap(pt, CODE3, 1);
@@ -498,8 +563,7 @@ fn remapped_chain_target_is_reformed_not_followed() {
         mem.kwrite(pt, CODE3, &body(7)).unwrap();
         cpu.pc = CODE;
         assert_eq!(run_to_event(&mut cpu, &mut mem, &mut rev), StepEvent::Halt);
-        assert_eq!(cpu.reg(A0), 7, "stale chained block survived remap (blocks={blocks})");
-        simmem::set_blocks(None);
+        assert_eq!(cpu.reg(A0), 7, "stale chained block survived remap ({})", engine_name(fast));
     }
 }
 
@@ -519,27 +583,15 @@ fn revocation_between_chained_blocks_faults_at_the_crossing() {
     a.push(Instr::Jal { rd: 0, imm: (CODE as i64 - (CODE3 + 8) as i64) as i32 });
     let revoke_and_return = a.finish().bytes;
 
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut outcomes = Vec::new();
-    for (blocks, xblocks) in XMODES {
-        simmem::set_blocks(Some(blocks));
-        simmem::set_xblocks(Some(xblocks));
-        let mut mem = Memory::new();
-        let pt = Memory::GLOBAL_PT;
-        mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-        mem.kwrite(pt, CODE, &enter).unwrap();
-        mem.map_anon(pt, CODE3, 1, PageFlags::RX, DomainTag(2));
-        mem.kwrite(pt, CODE3, &revoke_and_return).unwrap();
-        let mut cpu = Cpu::new(0);
-        cpu.pc = CODE;
-        cpu.cur_dom = DomainTag(1);
-        cpu.thread = 1;
+    for fast in ENGINES {
+        let pages =
+            [(CODE, PageFlags::RX, 1, &enter[..]), (CODE3, PageFlags::RX, 2, &revoke_and_return)];
+        let (mut mem, mut cpu) = machine(fast, &pages);
         // Dom 1 has no APL grant into dom 2; only the sync capability
         // authorises the crossing. Dom 2 returns via a plain APL grant.
-        cpu.apl_cache.fill(DomainTag(1), Apl::new());
-        let mut back = Apl::new();
-        back.set(DomainTag(1), Perm::Read);
-        cpu.apl_cache.fill(DomainTag(2), back);
+        grant(&mut cpu, 1, 2, Perm::Nil);
+        grant(&mut cpu, 2, 1, Perm::Read);
         cpu.caps[0] = Some(Capability {
             base: CODE3,
             len: PAGE_SIZE,
@@ -551,37 +603,28 @@ fn revocation_between_chained_blocks_faults_at_the_crossing() {
         let ev = run_to_event(&mut cpu, &mut mem, &mut rev);
         match ev {
             StepEvent::Fault(f) => {
-                assert_eq!(f.pc, CODE3, "denial must land on the re-entry (blocks={blocks})");
+                assert_eq!(f.pc, CODE3, "denial must land on the re-entry");
                 assert!(
                     matches!(f.kind, FaultKind::Codoms(_)),
                     "expected CODOMs denial after revocation, got {:?}",
                     f.kind
                 );
             }
-            ev => {
-                panic!("revoked crossing was allowed (blocks={blocks} xblocks={xblocks}): {ev:?}")
-            }
+            ev => panic!("revoked crossing was allowed ({}): {ev:?}", engine_name(fast)),
         }
         assert_eq!(cpu.domain_crossings, 2, "one entry, one return before the denial");
         outcomes.push((ev, cpu.cycles, cpu.retired, cpu.domain_crossings));
-        simmem::set_blocks(None);
-        simmem::set_xblocks(None);
     }
-    for o in &outcomes[1..] {
-        assert_eq!(*o, outcomes[0], "cache mode diverged from interpreter");
-    }
+    assert_eq!(outcomes[0], outcomes[1], "fast engine diverged from the reference");
 }
 
 #[test]
-fn smp_cross_cpu_patch_invalidates_chained_blocks_at_barrier() {
-    // The cross-CPU patch scenario with the block engine forced on: CPU 0's
-    // spin loop runs as chained superblocks, CPU 1's store bumps the code
-    // epoch (CPU 0's block formation marked the frame as code), and CPU 0
-    // must re-form — not chain into — its stale loop blocks in its next
-    // slice.
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simmem::set_blocks(Some(true));
-    let mut m = Smp::new(patch_world(), [CODE, CODE2]);
+fn smp_cross_cpu_patch_invalidates_chained_blocks() {
+    // The cross-CPU patch scenario seen from the block cache: CPU 0's spin
+    // loop runs as chained superblocks, CPU 1's store bumps the code epoch
+    // (CPU 0's block formation marked the frame as code), and CPU 0 must
+    // re-form — not chain into — its stale loop blocks in its next slice.
+    let mut m = Smp::new(true, patch_world, [CODE, CODE2]);
     m.run_to_halt(1_000);
     assert!(m.all_halted(), "spin never saw the patch");
     assert_eq!(m.cpus[0].reg(A0), 2, "stale chained block after cross-CPU patch");
@@ -590,12 +633,11 @@ fn smp_cross_cpu_patch_invalidates_chained_blocks_at_barrier() {
     // At least the loop blocks' initial formation plus the post-patch
     // re-formation.
     assert!(b.fills >= 3, "expected re-formation after the patch, stats: {b:?}");
-    simmem::set_blocks(None);
 }
 
 // ---------------------------------------------------------------------
-// Crossing-descriptor invalidation: in xblocks mode a block whose entry
-// edge crosses domains carries a pre-validated crossing descriptor, and
+// Crossing-descriptor invalidation: a block whose entry edge crosses
+// domains carries a pre-validated crossing descriptor, and
 // chained re-entries replay it instead of re-running the full CODOMs
 // check. Every source of authority change — APL content, page tags,
 // mappings, capability revocation — must still be observed on the very
@@ -603,11 +645,6 @@ fn smp_cross_cpu_patch_invalidates_chained_blocks_at_barrier() {
 // ---------------------------------------------------------------------
 
 const FAR: u64 = 0x70_000;
-
-/// `(blocks, xblocks)` combinations every crossing scenario must agree
-/// on. xblocks without blocks still exercises the dcache, but crossing
-/// descriptors only exist on block edges.
-const XMODES: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
 
 /// A two-domain ping-pong: domain 1 at `CODE` jumps into domain 2 at
 /// `FAR`; domain 2 counts iterations in T4 and either jumps back or
@@ -631,35 +668,20 @@ fn ping_pong(iters: u64) -> (Vec<u8>, Vec<u8>) {
 
 /// Builds the two-domain world with APL grants both ways, runs the warm
 /// ping-pong to `Halt`, applies `mutate`, resets the CPU to `CODE`, and
-/// runs again. Returns the post-mutation outcome. With xblocks on, the
+/// runs again. Returns the post-mutation outcome. On the fast engine the
 /// warm phase must actually have served crossing descriptors.
 fn crossing_scenario(
-    blocks: bool,
-    xblocks: bool,
+    fast: bool,
     mutate: impl FnOnce(&mut Cpu, &mut Memory),
 ) -> (StepEvent, u64, u64, u64) {
-    simmem::set_blocks(Some(blocks));
-    simmem::set_xblocks(Some(xblocks));
     let (caller, callee) = ping_pong(200);
-    let mut mem = Memory::new();
-    let pt = Memory::GLOBAL_PT;
-    mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-    mem.kwrite(pt, CODE, &caller).unwrap();
-    mem.map_anon(pt, FAR, 1, PageFlags::RX, DomainTag(2));
-    mem.kwrite(pt, FAR, &callee).unwrap();
-    let mut cpu = Cpu::new(0);
-    cpu.pc = CODE;
-    cpu.cur_dom = DomainTag(1);
-    cpu.thread = 1;
-    let mut to2 = Apl::new();
-    to2.set(DomainTag(2), Perm::Read);
-    cpu.apl_cache.fill(DomainTag(1), to2);
-    let mut back = Apl::new();
-    back.set(DomainTag(1), Perm::Read);
-    cpu.apl_cache.fill(DomainTag(2), back);
+    let pages = [(CODE, PageFlags::RX, 1, &caller[..]), (FAR, PageFlags::RX, 2, &callee)];
+    let (mut mem, mut cpu) = machine(fast, &pages);
+    grant(&mut cpu, 1, 2, Perm::Read);
+    grant(&mut cpu, 2, 1, Perm::Read);
     let mut rev = RevocationTable::new();
     assert_eq!(run_to_event(&mut cpu, &mut mem, &mut rev), StepEvent::Halt, "warm run");
-    if blocks && xblocks {
+    if fast {
         assert!(cpu.block_stats().cross_hits > 0, "warm crossings must be served by descriptors");
     }
     mutate(&mut cpu, &mut mem);
@@ -667,24 +689,18 @@ fn crossing_scenario(
     cpu.cur_dom = DomainTag(1); // the warm run halted inside domain 2
     cpu.set_reg(T4, 0); // reset the callee's iteration counter
     let ev = run_to_event(&mut cpu, &mut mem, &mut rev);
-    simmem::set_blocks(None);
-    simmem::set_xblocks(None);
     (ev, cpu.cycles, cpu.retired, cpu.domain_crossings)
 }
 
-/// Runs `mutate` through every mode combination and asserts the
-/// post-mutation outcome (event, cycles, retired, crossings) is
-/// identical; returns the common outcome for scenario-specific checks.
+/// Runs `mutate` on both engines and asserts the post-mutation outcome
+/// (event, cycles, retired, crossings) is identical; returns the common
+/// outcome for scenario-specific checks.
 fn assert_crossing_identical(
     name: &str,
     mutate: impl Fn(&mut Cpu, &mut Memory) + Copy,
 ) -> (StepEvent, u64, u64, u64) {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let base = crossing_scenario(false, false, mutate);
-    for (blocks, xblocks) in XMODES.into_iter().skip(1) {
-        let got = crossing_scenario(blocks, xblocks, mutate);
-        assert_eq!(got, base, "{name} [blocks={blocks} xblocks={xblocks}]: diverged");
-    }
+    let base = crossing_scenario(false, mutate);
+    assert_eq!(crossing_scenario(true, mutate), base, "{name}: fast engine diverged");
     base
 }
 
@@ -742,19 +758,15 @@ fn remap_of_crossing_target_is_rechecked_and_allowed() {
 }
 
 #[test]
-fn smp_cross_cpu_epoch_bump_invalidates_crossing_blocks_at_barrier() {
+fn smp_cross_cpu_epoch_bump_invalidates_crossing_blocks() {
     // CPU 0 spins through a two-domain loop (CODE in domain 1 jumps into
     // FAR in domain 2, which jumps back), so its hot blocks carry warm
     // crossing descriptors on both edges. CPU 1 patches the spin's exit
     // condition; the store bumps the code epoch, which must re-form the
     // crossing blocks — re-running the CODOMs checks — rather than serve
-    // stale descriptors. The simulated outcome must be identical with and
-    // without xblocks.
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut outcomes = Vec::new();
-    for xblocks in [false, true] {
-        simmem::set_blocks(Some(true));
-        simmem::set_xblocks(Some(xblocks));
+    // stale descriptors. The simulated outcome must be identical on the
+    // reference.
+    let world = || {
         let mut a = Asm::new();
         a.push(Instr::Movi { rd: A0, imm: 1 }); // patch site (CODE + 0)
         a.li(T0, 2);
@@ -774,20 +786,19 @@ fn smp_cross_cpu_epoch_bump_invalidates_crossing_blocks_at_barrier() {
         mem.kwrite(pt, FAR, &bounce).unwrap();
         mem.map_anon(pt, CODE2, 1, PageFlags::RX, DomainTag(1));
         mem.kwrite(pt, CODE2, &patcher()).unwrap();
-
-        let mut m = Smp::new(mem, [CODE, CODE2]);
+        mem
+    };
+    let mut outcomes = Vec::new();
+    for fast in ENGINES {
+        let mut m = Smp::new(fast, world, [CODE, CODE2]);
         for cpu in &mut m.cpus {
-            let mut to2 = Apl::new();
-            to2.set(DomainTag(2), Perm::Read);
-            cpu.apl_cache.fill(DomainTag(1), to2);
-            let mut back = Apl::new();
-            back.set(DomainTag(1), Perm::Read);
-            cpu.apl_cache.fill(DomainTag(2), back);
+            grant(cpu, 1, 2, Perm::Read);
+            grant(cpu, 2, 1, Perm::Read);
         }
         let rounds = m.run_to_halt(1_000);
-        assert!(m.all_halted(), "spin never saw the patch (xblocks={xblocks})");
+        assert!(m.all_halted(), "spin never saw the patch ({})", engine_name(fast));
         assert_eq!(m.cpus[0].reg(A0), 2, "stale crossing block after cross-CPU patch");
-        if xblocks {
+        if fast {
             let b = m.cpus[0].block_stats();
             assert!(b.cross_hits > 0, "spin loop should have served crossing descriptors");
         }
@@ -798,10 +809,8 @@ fn smp_cross_cpu_epoch_bump_invalidates_crossing_blocks_at_barrier() {
             m.cpus[0].domain_crossings,
             m.cpus[0].reg(A0),
         ));
-        simmem::set_blocks(None);
-        simmem::set_xblocks(None);
     }
-    assert_eq!(outcomes[0], outcomes[1], "outcome diverged across xblocks");
+    assert_eq!(outcomes[0], outcomes[1], "fast engine diverged from the reference");
 }
 
 // ---------------------------------------------------------------------
@@ -837,13 +846,11 @@ const SWEEP_PAGES: u64 = 4;
 /// Returns the final event, cycles, retired, crossings since the warm run,
 /// A0..A2, and how many resumes the engine took.
 fn resume_scenario(
-    (blocks, xblocks): (bool, bool),
+    fast: bool,
     entry: Entry,
     first_slice: u64,
     attack: impl FnOnce(&mut Cpu, &mut Memory, &mut RevocationTable),
 ) -> ((StepEvent, u64, u64, u64, [u64; 3]), u64) {
-    simmem::set_blocks(Some(blocks));
-    simmem::set_xblocks(Some(xblocks));
     let mut a = Asm::new();
     for _ in 0..12 {
         a.push(Instr::Addi { rd: A0, rs1: A0, imm: 1 });
@@ -858,27 +865,20 @@ fn resume_scenario(
     a.push(Instr::Halt);
     let callee = a.finish().bytes;
 
-    let mut mem = Memory::new();
+    let pages = [(CODE, PageFlags::RX, 1, &caller[..]), (FAR, PageFlags::RX, 2, &callee)];
+    let (mut mem, mut cpu) = machine(fast, &pages);
     let pt = Memory::GLOBAL_PT;
-    mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
-    mem.kwrite(pt, CODE, &caller).unwrap();
-    mem.map_anon(pt, FAR, 1, PageFlags::RX, DomainTag(2));
-    mem.kwrite(pt, FAR, &callee).unwrap();
     mem.map_anon(pt, SWEEP, SWEEP_PAGES, PageFlags::RX, DomainTag(1));
     let slots = SWEEP_PAGES * PAGE_SIZE / 8;
     for s in 0..slots {
         let i = if s + 1 == slots { Instr::Halt } else { Instr::Beq { rs1: 0, rs2: 0, imm: 8 } };
         mem.kwrite(pt, SWEEP + s * 8, &i.encode()).unwrap();
     }
-    let mut cpu = Cpu::new(0);
-    cpu.pc = CODE;
-    cpu.cur_dom = DomainTag(1);
-    cpu.thread = 1;
-    let mut to2 = Apl::new();
     match entry {
-        Entry::AplRead => to2.set(DomainTag(2), Perm::Read),
-        Entry::AplCall => to2.set(DomainTag(2), Perm::Call),
+        Entry::AplRead => grant(&mut cpu, 1, 2, Perm::Read),
+        Entry::AplCall => grant(&mut cpu, 1, 2, Perm::Call),
         Entry::SyncCap => {
+            grant(&mut cpu, 1, 2, Perm::Nil);
             cpu.caps[0] = Some(Capability {
                 base: FAR,
                 len: PAGE_SIZE,
@@ -888,8 +888,7 @@ fn resume_scenario(
             })
         }
     }
-    cpu.apl_cache.fill(DomainTag(1), to2);
-    cpu.apl_cache.fill(DomainTag(2), Apl::new());
+    grant(&mut cpu, 2, 1, Perm::Nil);
     let mut rev = RevocationTable::new();
     let cost = CostModel::default();
 
@@ -902,20 +901,18 @@ fn resume_scenario(
     assert!(exit.deadline && exit.retired == first_slice, "first slice: {exit:?}");
     let before = cpu.block_stats();
     assert_eq!(before.resumes, 0);
-    if blocks {
+    if fast {
         assert!(before.budgeted >= 1, "the first slice must end inside a budgeted block");
     }
     attack(&mut cpu, &mut mem, &mut rev);
     let ev = run_to_event(&mut cpu, &mut mem, &mut rev);
-    simmem::set_blocks(None);
-    simmem::set_xblocks(None);
     let regs = [cpu.reg(A0), cpu.reg(A1), cpu.reg(A2)];
     let crossings = cpu.domain_crossings - warm_crossings;
     ((ev, cpu.cycles, cpu.retired, crossings, regs), cpu.block_stats().resumes)
 }
 
-/// Runs one attack through every mode, demands the interpreter's outcome
-/// everywhere, and checks whether the block engine took the resume
+/// Runs one attack on both engines, demands the reference's outcome of the
+/// fast engine, and checks whether the block engine took the resume
 /// (`resumed`) or rejected it. Returns the common outcome.
 fn assert_resume_identical(
     name: &str,
@@ -924,15 +921,10 @@ fn assert_resume_identical(
     resumed: bool,
     attack: impl Fn(&mut Cpu, &mut Memory, &mut RevocationTable) + Copy,
 ) -> (StepEvent, u64, u64, u64, [u64; 3]) {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (base, _) = resume_scenario(XMODES[0], entry, first_slice, attack);
-    for mode in XMODES.into_iter().skip(1) {
-        let (got, resumes) = resume_scenario(mode, entry, first_slice, attack);
-        assert_eq!(got, base, "{name} {mode:?}: diverged from the interpreter");
-        if mode.0 {
-            assert_eq!(resumes, resumed as u64, "{name} {mode:?}: resume taken/rejected wrongly");
-        }
-    }
+    let (base, _) = resume_scenario(false, entry, first_slice, attack);
+    let (got, resumes) = resume_scenario(true, entry, first_slice, attack);
+    assert_eq!(got, base, "{name}: diverged from the reference");
+    assert_eq!(resumes, resumed as u64, "{name}: resume taken/rejected wrongly");
     base
 }
 

@@ -1,27 +1,20 @@
-//! Process-wide switches for the host-side fast-path caches.
+//! The process-wide engine switch.
 //!
-//! Four independent switches, all pure host-speed optimisations with
-//! identical simulated cycles, fault sequences and trace output on or off:
+//! The simulator has exactly two execution engines with identical
+//! simulated cycles, fault sequences and trace output:
 //!
-//! * the **fast path** (the [`crate::Memory`] translation cache and the
-//!   cdvm per-instruction decoded cache) — `CDVM_NO_FASTPATH=1` disables
-//!   it, [`set_fastpath`] overrides the environment programmatically;
-//! * the **block engine** (the cdvm superblock cache, which dispatches
-//!   straight-line runs of instructions with batched validation and cost
-//!   accounting) — `CDVM_NO_BLOCKS=1` disables it, [`set_blocks`]
-//!   overrides;
-//! * the **cross-domain engine** (cached CODOMs crossing descriptors on
-//!   block edges plus the per-CPU data-operand translation cache) —
-//!   `CDVM_NO_XBLOCKS=1` disables it, [`set_xblocks`] overrides;
-//! * the **direct-threaded dispatch** experiment (pre-resolved handler
-//!   pointers for ALU-dense block bodies) — `CDVM_NO_THREADED=1`
-//!   disables it, [`set_threaded`] overrides.
+//! * the **reference** — `cdvm::Cpu::step` in a loop, translating and
+//!   decoding every fetch from scratch, with no host cache of any kind
+//!   (no [`crate::Memory`] translation cache, no block cache, no
+//!   data-operand cache);
+//! * the **fast** engine, the default — the cdvm superblock engine with
+//!   everything it caches, plus the [`crate::Memory`] translation cache.
 //!
-//! The switches compose: every on/off combination is valid and the
-//! `CDVM_NO_BLOCKS` × `CDVM_NO_FASTPATH` × `CDVM_NO_XBLOCKS` matrix is
-//! differentially tested byte-identical.
+//! `CDVM_NO_FASTPATH=1` selects the reference; [`set_fastpath`] overrides
+//! the environment programmatically. The differential tests run both and
+//! demand byte-identical results.
 //!
-//! The flags are sampled once at construction time by
+//! The flag is sampled once at construction time by
 //! [`crate::Memory::new`] and `cdvm::Cpu::new`, never per access.
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -29,16 +22,6 @@ use std::sync::OnceLock;
 
 /// 0 = follow the environment, 1 = force on, 2 = force off.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Same encoding, for the block engine.
-static BLOCKS_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Same encoding, for the cross-domain engine (crossing descriptors +
-/// data translation cache).
-static XBLOCKS_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Same encoding, for direct-threaded block dispatch.
-static THREADED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 fn env_default() -> bool {
     static ENV: OnceLock<bool> = OnceLock::new();
@@ -48,31 +31,8 @@ fn env_default() -> bool {
     })
 }
 
-fn blocks_env_default() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("CDVM_NO_BLOCKS") {
-        Ok(v) => !(v == "1" || v.eq_ignore_ascii_case("true")),
-        Err(_) => true,
-    })
-}
-
-fn xblocks_env_default() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("CDVM_NO_XBLOCKS") {
-        Ok(v) => !(v == "1" || v.eq_ignore_ascii_case("true")),
-        Err(_) => true,
-    })
-}
-
-fn threaded_env_default() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("CDVM_NO_THREADED") {
-        Ok(v) => !(v == "1" || v.eq_ignore_ascii_case("true")),
-        Err(_) => true,
-    })
-}
-
-/// Whether newly constructed memories/CPUs should use the fast path.
+/// Whether newly constructed memories/CPUs should use the fast engine
+/// (`false`: the reference interpreter).
 pub fn fastpath_enabled() -> bool {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => true,
@@ -82,9 +42,9 @@ pub fn fastpath_enabled() -> bool {
 }
 
 /// Overrides the `CDVM_NO_FASTPATH` environment variable for this process:
-/// `Some(true)` forces the fast path on, `Some(false)` forces it off, and
-/// `None` reverts to the environment. Only affects memories/CPUs
-/// constructed *after* the call.
+/// `Some(true)` forces the fast engine, `Some(false)` forces the reference
+/// interpreter, and `None` reverts to the environment. Only affects
+/// memories/CPUs constructed *after* the call.
 pub fn set_fastpath(enabled: Option<bool>) {
     let v = match enabled {
         None => 0,
@@ -94,83 +54,12 @@ pub fn set_fastpath(enabled: Option<bool>) {
     OVERRIDE.store(v, Ordering::Relaxed);
 }
 
-/// Whether newly constructed CPUs should use the superblock engine.
-pub fn blocks_enabled() -> bool {
-    match BLOCKS_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => blocks_env_default(),
-    }
-}
-
-/// Overrides the `CDVM_NO_BLOCKS` environment variable for this process
-/// (same semantics as [`set_fastpath`]). Only affects CPUs constructed
-/// *after* the call.
-pub fn set_blocks(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    BLOCKS_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Whether newly constructed CPUs should use the cross-domain engine:
-/// pre-validated crossing descriptors on block edges and the per-CPU
-/// data-operand translation cache.
-pub fn xblocks_enabled() -> bool {
-    match XBLOCKS_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => xblocks_env_default(),
-    }
-}
-
-/// Overrides the `CDVM_NO_XBLOCKS` environment variable for this process
-/// (same semantics as [`set_fastpath`]). Only affects CPUs constructed
-/// *after* the call.
-pub fn set_xblocks(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    XBLOCKS_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// Whether newly constructed CPUs should dispatch ALU-dense block bodies
-/// through the direct-threaded handler table.
-pub fn threaded_enabled() -> bool {
-    match THREADED_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => threaded_env_default(),
-    }
-}
-
-/// Overrides the `CDVM_NO_THREADED` environment variable for this process
-/// (same semantics as [`set_fastpath`]). Only affects CPUs constructed
-/// *after* the call.
-pub fn set_threaded(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    THREADED_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The overrides are process-global; serialize the tests that toggle
-    /// them so the harness's parallel execution can't interleave.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn override_wins_and_reverts() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_fastpath(Some(false));
         assert!(!fastpath_enabled());
         set_fastpath(Some(true));
@@ -178,38 +67,5 @@ mod tests {
         set_fastpath(None);
         // Whatever the environment says, the call must not panic.
         let _ = fastpath_enabled();
-    }
-
-    #[test]
-    fn blocks_override_is_independent() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_blocks(Some(false));
-        set_fastpath(Some(true));
-        assert!(!blocks_enabled());
-        assert!(fastpath_enabled());
-        set_blocks(Some(true));
-        assert!(blocks_enabled());
-        set_blocks(None);
-        set_fastpath(None);
-        let _ = blocks_enabled();
-    }
-
-    #[test]
-    fn xblocks_and_threaded_overrides_are_independent() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_xblocks(Some(false));
-        set_threaded(Some(true));
-        set_blocks(Some(true));
-        assert!(!xblocks_enabled());
-        assert!(threaded_enabled());
-        assert!(blocks_enabled());
-        set_xblocks(Some(true));
-        set_threaded(Some(false));
-        assert!(xblocks_enabled());
-        assert!(!threaded_enabled());
-        set_xblocks(None);
-        set_threaded(None);
-        set_blocks(None);
-        let _ = (xblocks_enabled(), threaded_enabled());
     }
 }

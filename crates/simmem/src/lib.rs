@@ -19,8 +19,9 @@
 //!   optimisation, invisible to the simulation).
 //! * [`idmap`] — [`IdMap`], the `HashMap` with a fixed integer hasher under
 //!   the page tables and the kernel's thread, process and futex tables.
-//! * [`fastpath`] — the process-wide `CDVM_NO_FASTPATH` switch controlling
-//!   the host-side caches here and in `cdvm`.
+//! * [`fastpath`] — the process-wide engine switch (`CDVM_NO_FASTPATH`):
+//!   the fast engine with its host-side caches here and in `cdvm`, or the
+//!   cache-free reference interpreter.
 //!
 //! The design follows the paper's §6.1.3: dIPC-enabled processes share a
 //! single page table within a global virtual address space, while regular
@@ -35,10 +36,7 @@ pub mod phys;
 pub mod tlb;
 pub mod vas;
 
-pub use fastpath::{
-    blocks_enabled, fastpath_enabled, set_blocks, set_fastpath, set_threaded, set_xblocks,
-    threaded_enabled, xblocks_enabled,
-};
+pub use fastpath::{fastpath_enabled, set_fastpath};
 pub use idmap::IdMap;
 pub use mem::{MemFault, Memory};
 pub use page::{DomainTag, PageFlags, PAGE_SHIFT, PAGE_SIZE};

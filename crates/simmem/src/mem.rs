@@ -14,15 +14,16 @@
 //! in front of it. Entries carry the owning table's mutation generation and
 //! are only served while the generation still matches, so any `map`, `unmap`,
 //! `protect` or `set_tag` implicitly invalidates them — there is no explicit
-//! shootdown to forget. The cdvm decoded-instruction cache and superblock
-//! cache consume [`Memory::table_generation`] the same way: every cached
-//! page, block and chain hint revalidates against it (and against the code
-//! epoch) on use.
+//! shootdown to forget. The cdvm superblock cache and data-operand cache
+//! consume [`Memory::table_generation`] the same way: every cached block,
+//! chain hint and operand translation revalidates against it (blocks also
+//! against the code epoch) on use.
 //!
 //! The cache is invisible to the simulation: it is *not* the simulated
 //! [`crate::Tlb`] (whose hit/miss cycle accounting is charged by the VM and
-//! must not change), it only removes host-side hash lookups. Setting
-//! `CDVM_NO_FASTPATH=1` (see [`crate::fastpath`]) disables it, which the
+//! must not change), it only removes host-side hash lookups. It belongs to
+//! the fast engine: under `CDVM_NO_FASTPATH=1` (see [`crate::fastpath`]) the
+//! reference interpreter walks the table on every access, which the
 //! differential tests use to prove cycle/fault equivalence.
 
 use core::cell::Cell;
@@ -141,8 +142,8 @@ impl Memory {
     }
 
     /// Monotonic counter bumped whenever a code-marked frame's bytes may
-    /// have changed (see [`PhysMem::code_epoch`]). Decoded-instruction
-    /// caches validate against it.
+    /// have changed (see [`PhysMem::code_epoch`]). The cdvm block cache
+    /// validates against it.
     #[inline]
     pub fn code_epoch(&self) -> u64 {
         self.phys.code_epoch()

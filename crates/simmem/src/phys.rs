@@ -28,10 +28,10 @@
 //! and instruction fetch.
 //!
 //! The slab also tracks which frames back *executed code*: the cdvm
-//! decoded-instruction cache and superblock cache mark a frame when they
-//! predecode it, and any later write to (or free of) a marked frame bumps
-//! [`PhysMem::code_epoch`], which invalidates every predecoded page, every
-//! formed superblock and every block chain hint at its next use. The bump
+//! superblock cache marks a frame when it forms a block from it, and any
+//! later write to (or free of) a marked frame bumps
+//! [`PhysMem::code_epoch`], which invalidates every formed superblock and
+//! every block chain hint at its next use. The bump
 //! precedes the write, the materialising first write included (a block can
 //! be formed from a `Zero` frame: it decodes as zeros). This is how
 //! self-modifying and runtime-patched code (dIPC generates proxies by
@@ -204,8 +204,8 @@ impl PhysMem {
         }
     }
 
-    /// Full read-only view of a frame's bytes (used by the cdvm decoder to
-    /// predecode a whole code page in one pass).
+    /// Full read-only view of a frame's bytes (block formation decodes
+    /// straight out of it).
     #[inline]
     pub fn frame_bytes(&self, id: FrameId) -> &[u8] {
         self.frame(id)

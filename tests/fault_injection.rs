@@ -549,25 +549,25 @@ fn near_certain_load_faults_still_terminate_deterministically() {
 }
 
 #[test]
-fn revocation_injection_is_identical_with_and_without_xblocks() {
+fn revocation_injection_is_identical_on_both_engines() {
     // Injected capability revocations land *inside* hot blocks whose
     // entry edges carry warm crossing descriptors (the dIPC call loop
     // crosses domains every iteration). The descriptor guard re-checks
     // revocation state on every served crossing, so the injection must
     // surface at exactly the same instruction — same fault log, same
-    // cycle count, same counters — whether the crossing/translation
-    // caches are on or off.
+    // cycle count, same counters — on the fast engine as on the reference
+    // interpreter, which has no descriptor to serve.
     let plan = |seed| FaultPlan::new(seed).rate(Site::Revoke, 0.005);
     for seed in [4u64, 13] {
-        simmem::set_xblocks(Some(false));
-        let off = run_micro(Some(plan(seed)));
-        simmem::set_xblocks(Some(true));
-        let on = run_micro(Some(plan(seed)));
-        simmem::set_xblocks(None);
-        assert!(on.injections > 0, "seed {seed}: plan injected nothing");
-        assert_eq!(off.log, on.log, "seed {seed}: injection logs diverged across xblocks");
-        assert_eq!(off.final_cycles, on.final_cycles, "seed {seed}: cycle counts diverged");
-        assert_eq!((off.ok, off.err), (on.ok, on.err), "seed {seed}: counters diverged");
-        assert!(off.caller_alive && on.caller_alive, "seed {seed}: caller died");
+        simmem::set_fastpath(Some(false));
+        let reference = run_micro(Some(plan(seed)));
+        simmem::set_fastpath(Some(true));
+        let fast = run_micro(Some(plan(seed)));
+        simmem::set_fastpath(None);
+        assert!(fast.injections > 0, "seed {seed}: plan injected nothing");
+        assert_eq!(reference.log, fast.log, "seed {seed}: injection logs diverged");
+        assert_eq!(reference.final_cycles, fast.final_cycles, "seed {seed}: cycles diverged");
+        assert_eq!((reference.ok, reference.err), (fast.ok, fast.err), "seed {seed}: counters");
+        assert!(reference.caller_alive && fast.caller_alive, "seed {seed}: caller died");
     }
 }
