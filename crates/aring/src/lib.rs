@@ -425,43 +425,6 @@ impl Ring {
     }
 }
 
-/// `ARING_*` environment knobs (read by benches and the async OLTP stack;
-/// the library itself never consults the environment).
-pub mod env {
-    use super::Backpressure;
-
-    fn get(name: &str) -> Option<String> {
-        std::env::var(name).ok().filter(|s| !s.is_empty())
-    }
-
-    /// `ARING_CAP` — ring capacity in records (power of two, default 64).
-    pub fn cap() -> u64 {
-        let v: u64 = get("ARING_CAP").and_then(|s| s.parse().ok()).unwrap_or(64);
-        assert!(v.is_power_of_two(), "ARING_CAP must be a power of two");
-        v
-    }
-
-    /// `ARING_BATCH` — producer flush granularity in records (default 16).
-    pub fn batch() -> u64 {
-        get("ARING_BATCH").and_then(|s| s.parse().ok()).unwrap_or(16).max(1)
-    }
-
-    /// `ARING_POLICY` — `block` | `yield` | `fail` (default `block`).
-    pub fn policy() -> Backpressure {
-        match get("ARING_POLICY").as_deref() {
-            None | Some("block") => Backpressure::Block,
-            Some("yield") => Backpressure::Yield,
-            Some("fail") => Backpressure::Fail,
-            Some(other) => panic!("ARING_POLICY must be block|yield|fail, got {other}"),
-        }
-    }
-
-    /// `ARING_VALIDATE` — non-zero selects the validated envelope codec.
-    pub fn validate() -> bool {
-        get("ARING_VALIDATE").map(|s| s != "0").unwrap_or(false)
-    }
-}
-
 /// Guest-code emitters. Each expands the ring protocol inline at the call
 /// site (no function-call overhead, mirroring how dIPC inlines proxies).
 ///
@@ -840,14 +803,6 @@ mod tests {
         r.step_publish(&mut m, t2, &[12, 0, 0, 0]);
         assert_eq!(r.try_dequeue(&mut m).unwrap()[0], 11);
         assert_eq!(r.try_dequeue(&mut m).unwrap()[0], 12);
-    }
-
-    #[test]
-    fn env_defaults() {
-        assert_eq!(env::cap(), 64);
-        assert_eq!(env::batch(), 16);
-        assert_eq!(env::policy(), Backpressure::Block);
-        assert!(!env::validate());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use oltp::{ideal_stack, linux_stack, OltpParams, StorageKind};
 
 fn main() {
     bench::banner("Figure 1 - OLTP stack time breakdown (Linux vs Ideal)");
-    let conc = std::env::var("OLTP_CONC").ok().and_then(|s| s.parse().ok()).unwrap_or(16);
+    let conc = 16;
     let p = OltpParams::with(conc, StorageKind::InMemory);
     println!("in-memory DB, {conc} threads/tier, 4 CPUs\n");
     println!("paper (256 threads): Linux 51% user / 23% kernel / 24% idle, 1.73ms");

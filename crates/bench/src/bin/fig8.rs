@@ -5,9 +5,6 @@ use oltp::{dipc_stack, ideal_stack, linux_stack, OltpParams, StorageKind};
 
 fn main() {
     bench::banner("Figure 8 - OLTP throughput by configuration and concurrency");
-    let concs: Vec<u64> = std::env::var("OLTP_CONC_LIST")
-        .map(|s| s.split(',').filter_map(|x| x.parse().ok()).collect())
-        .unwrap_or_else(|_| vec![4, 16, 64, 256, 512]);
     println!("paper: dIPC up to 3.18x (on-disk) / 5.12x (in-memory) over Linux,");
     println!("       always >94% of Ideal.\n");
     for (name, storage) in
@@ -18,7 +15,7 @@ fn main() {
             "{:>7} {:>10} {:>10} {:>10} {:>9} {:>9}",
             "threads", "Linux", "dIPC", "Ideal", "speedup", "efficiency"
         );
-        for &conc in &concs {
+        for conc in [4, 16, 64, 256, 512] {
             let p = OltpParams::with(conc, storage);
             // Operation latency grows with concurrency (closed loop, 1 ms
             // quanta), so both the warm-up and the measurement window must

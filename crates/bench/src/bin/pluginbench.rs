@@ -15,7 +15,7 @@
 //! the host, re-verified reload — numbers the JSON records so CI notices
 //! if the recovery contract drifts.
 //!
-//! Knobs: `PLUGIN_N`, `PLUGIN_OPS`, `PLUGIN_KEY`, `BENCH_SCALE`.
+//! Knobs: `PLUGIN_OPS`, `BENCH_SCALE`.
 //! Emits `results/BENCH_plugins.json`; deterministic bit for bit.
 
 use plugins::images::PluginKind;
@@ -25,8 +25,8 @@ use plugins::{baseline, PluginParams, CMD_BENIGN};
 fn main() {
     bench::banner("plugins - sandboxed plugin domains: dIPC vs process-per-plugin");
     let scale = bench::scale();
-    let mut p = PluginParams::from_env();
-    p.ops *= scale;
+    let d = PluginParams::default();
+    let p = PluginParams { ops: bench::knob("PLUGIN_OPS", d.ops) * scale, ..d };
     println!("workload: {} plugins, {} host iterations, {} cpus", p.n, p.ops, p.cpus);
 
     // dIPC: checked loading + filter-proxied syscalls, proxy crossings.

@@ -16,9 +16,9 @@
 //! graceful degradation (bucket + replica fail-over keep goodput up).
 //!
 //! Fully deterministic: the same binary regenerates
-//! `results/BENCH_prod.json` byte for byte. Env knobs (`PROD_SESSIONS`,
-//! `PROD_WINDOW_MS`, `PROD_RATES`) shrink the run for CI smoke; the
-//! committed JSON uses the defaults.
+//! `results/BENCH_prod.json` byte for byte. The `PROD_SESSIONS` and
+//! `PROD_WINDOW_MS` knobs shrink the run for CI smoke; the committed JSON
+//! uses the defaults.
 
 use oltp::service_graph::{build, ProdParams, ProdRun, ProdStack, RunOpts};
 use oltp::workload::{OpenLoop, TokenBucket, WorkloadCfg};
@@ -27,17 +27,9 @@ use simfault::{FaultPlan, Site, Trigger};
 const SEED: u64 = 0xD1FC_0800;
 const BUCKET_RATE: u64 = 750_000;
 const BUCKET_BURST: u64 = 2_000;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_rates() -> Vec<u64> {
-    match std::env::var("PROD_RATES") {
-        Ok(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-        Err(_) => vec![350_000, 650_000, 950_000],
-    }
-}
+/// Offered-load sweep points, arrivals per simulated second; the chaos row
+/// re-runs the middle one.
+const RATES: [u64; 3] = [350_000, 650_000, 950_000];
 
 fn workload(sessions: u64, rate: u64, window_ns: u64) -> OpenLoop {
     let mut cfg = WorkloadCfg::production(SEED, rate as f64, window_ns);
@@ -119,10 +111,8 @@ fn run_chaos(pp: &ProdParams, sessions: u64, rate: u64, window_ns: u64) -> (Prod
 
 fn main() {
     bench::banner("prod - open-loop service graph vs tail-latency SLOs");
-    let sessions = env_u64("PROD_SESSIONS", 100_000);
-    let window_ns = env_u64("PROD_WINDOW_MS", 300) * 1_000_000;
-    let rates = env_rates();
-    assert!(!rates.is_empty(), "PROD_RATES must name at least one rate");
+    let sessions = bench::knob("PROD_SESSIONS", 100_000);
+    let window_ns = bench::knob("PROD_WINDOW_MS", 300) * 1_000_000;
 
     let pp = ProdParams::production();
     println!(
@@ -141,16 +131,16 @@ fn main() {
     );
 
     let mut points = Vec::new();
-    for &rate in &rates {
+    for rate in RATES {
         let r = run_point(&pp, sessions, rate, window_ns);
         row(&format!("{}k/s", rate / 1000), &pp, &r);
         points.push((rate, r));
     }
 
-    let chaos_rate = rates[rates.len() / 2];
+    let chaos_rate = RATES[1];
     let (chaos, kill_at) = run_chaos(&pp, sessions, chaos_rate, window_ns);
     row("chaos", &pp, &chaos);
-    let baseline = &points[rates.len() / 2].1;
+    let baseline = &points[1].1;
     println!(
         "chaos degradation: goodput {:.1}% -> {:.1}%, failed {}, p99 {:.1} -> {:.1} us",
         baseline.goodput_frac() * 100.0,

@@ -6,7 +6,7 @@ use oltp::{dipc_stack, linux_stack, OltpParams, StorageKind};
 
 fn main() {
     bench::banner("Sensitivity - §7.5 hardware-overhead headroom");
-    let conc = std::env::var("OLTP_CONC").ok().and_then(|s| s.parse().ok()).unwrap_or(16);
+    let conc = 16;
     let p = OltpParams::with(conc, StorageKind::InMemory);
     let rl = linux_stack::build(&p).run(30, 200, conc);
     let mut stack = dipc_stack::build(&p);

@@ -236,7 +236,7 @@ fn main() {
     if degraded {
         println!("note: CDVM_NO_FASTPATH is set; both columns run the reference interpreter");
     }
-    let do_assert = std::env::var("SIMSPEED_ASSERT").is_ok() && !degraded;
+    let do_assert = bench::flag("SIMSPEED_ASSERT") && !degraded;
     println!(
         "{:<8} {:<34} {:>9} {:>8} {:>8} {:>7}",
         "workload", "description", "reference", "fast", "speedup", "xhit"

@@ -6,6 +6,11 @@
 //! values where applicable, and the regenerated rows/series. Absolute
 //! numbers come from the calibrated simulator; EXPERIMENTS.md records the
 //! paper-vs-measured comparison.
+//!
+//! This module is the only reader of the environment besides the engine
+//! switch in `simmem::fastpath`: [`banner`] reads `DIPC_TRACE` and
+//! `DIPC_FAULTS`, and every other knob goes through [`knob`] or [`flag`].
+//! The libraries underneath take explicit parameters only.
 
 use cdvm::MachineConfig;
 use simkernel::{TimeBreakdown, TimeCat};
@@ -13,15 +18,23 @@ use simkernel::{TimeBreakdown, TimeCat};
 /// Prints the standard harness header, arms the tracer when the
 /// `DIPC_TRACE=<path>` env var is set, and arms fault injection when
 /// `DIPC_FAULTS=<spec>` is set (every figure/table binary calls this, so
-/// all of them gain tracing and chaos for free). Pair with [`finish`].
+/// all of them gain tracing and chaos for free). An unparsable spec warns
+/// and arms nothing. Pair with [`finish`].
 pub fn banner(title: &str) {
     if let Ok(path) = std::env::var("DIPC_TRACE") {
         if !path.is_empty() {
             simtrace::enable(&path);
         }
     }
-    if simfault::arm_from_env() {
-        eprintln!("fault injection armed from DIPC_FAULTS");
+    match std::env::var("DIPC_FAULTS") {
+        Ok(spec) if !spec.is_empty() => match simfault::FaultPlan::parse(&spec) {
+            Ok(plan) => {
+                simfault::arm(plan);
+                eprintln!("fault injection armed from DIPC_FAULTS");
+            }
+            Err(e) => eprintln!("warning: ignoring DIPC_FAULTS: {e}"),
+        },
+        _ => {}
     }
     let m = MachineConfig::default();
     println!("================================================================");
@@ -43,21 +56,35 @@ pub fn finish() {
     }
 }
 
-/// Measurement scale factor from the `BENCH_SCALE` env var (1 = quick
-/// default; larger = longer, steadier runs). Unparsable values — including
-/// `0`, which would zero out every iteration count downstream — fall back
-/// to 1 with a warning instead of poisoning the run.
-pub fn scale() -> u64 {
-    match std::env::var("BENCH_SCALE") {
+/// A positive-integer knob from the environment: `default` when `name` is
+/// unset. Anything else that is not a positive integer — garbage, `5k`,
+/// `2e2`, `0` (which would zero out every iteration count downstream) —
+/// warns and falls back to `default`, so a mistyped CI shrink is visible
+/// instead of silently running the full-size default.
+pub fn knob(name: &str, default: u64) -> u64 {
+    match std::env::var(name) {
         Ok(s) => match s.parse() {
             Ok(n) if n >= 1 => n,
             _ => {
-                eprintln!("warning: ignoring unparsable BENCH_SCALE={s:?}; using 1");
-                1
+                eprintln!("warning: ignoring unparsable {name}={s:?}; using {default}");
+                default
             }
         },
-        Err(_) => 1,
+        Err(_) => default,
     }
+}
+
+/// An on/off knob from the environment, with `CDVM_NO_FASTPATH`'s rule:
+/// on only for `1` or `true` (any case); unset, `0` or anything else is
+/// off.
+pub fn flag(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+}
+
+/// Measurement scale factor from the `BENCH_SCALE` [`knob`] (1 = quick
+/// default; larger = longer, steadier runs).
+pub fn scale() -> u64 {
+    knob("BENCH_SCALE", 1)
 }
 
 /// Formats a Figure 2-style breakdown as percentages.
@@ -108,5 +135,31 @@ mod tests {
             Some(v) => std::env::set_var("BENCH_SCALE", v),
             None => std::env::remove_var("BENCH_SCALE"),
         }
+    }
+
+    /// The parsing bugs the one reader fixed, one case each (no other test
+    /// touches these variables): a mistyped CI shrink used to run the
+    /// full-size default silently, and `SIMSPEED_ASSERT=0` used to turn the
+    /// assertions on.
+    #[test]
+    fn knobs_warn_on_typos_and_flags_need_one_or_true() {
+        for (name, typo, default) in [
+            ("PROD_SESSIONS", "5k", 100_000),
+            ("PROD_WINDOW_MS", "2O", 300),
+            ("PLUGIN_OPS", "2e2", 2_000),
+        ] {
+            std::env::set_var(name, typo);
+            assert_eq!(knob(name, default), default, "{name}={typo:?} must warn and fall back");
+            std::env::set_var(name, "20");
+            assert_eq!(knob(name, default), 20, "{name}=20 is a valid shrink");
+            std::env::remove_var(name);
+            assert_eq!(knob(name, default), default, "{name} unset");
+        }
+        for (v, on) in [("0", false), ("", false), ("yes", false), ("1", true), ("TRUE", true)] {
+            std::env::set_var("SIMSPEED_ASSERT", v);
+            assert_eq!(flag("SIMSPEED_ASSERT"), on, "SIMSPEED_ASSERT={v:?}");
+        }
+        std::env::remove_var("SIMSPEED_ASSERT");
+        assert!(!flag("SIMSPEED_ASSERT"), "SIMSPEED_ASSERT unset");
     }
 }

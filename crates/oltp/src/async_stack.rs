@@ -98,8 +98,8 @@ impl AsyncParams {
             p,
             web_threads: 2,
             window: 4,
-            batch: aring::env::batch(),
-            cap: aring::env::cap().max(64),
+            batch: 16,
+            cap: 64,
             policy: Backpressure::Block,
         }
     }

@@ -49,7 +49,7 @@ pub struct OltpParams {
     /// Service threads per tier (the paper sweeps 4–512).
     pub concurrency: u64,
     /// Simulated CPU cores the stack schedules across (the paper's host
-    /// has 4; `SMP_CPUS` overrides the default).
+    /// has 4).
     pub cores: usize,
     /// Enable cross-CPU work stealing in the kernel scheduler (see
     /// [`simkernel::KernelConfig::steal`]).
@@ -92,7 +92,7 @@ impl Default for OltpParams {
     fn default() -> Self {
         OltpParams {
             concurrency: 16,
-            cores: simkernel::smp_cpus(4),
+            cores: 4,
             steal: false,
             queries_per_op: 100,
             mix: None,

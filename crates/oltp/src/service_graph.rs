@@ -167,7 +167,7 @@ impl ProdParams {
             tenants: 16,
             cache_slots: 512,
             write_every: 4,
-            cores: simkernel::smp_cpus(8),
+            cores: 8,
             steal: true,
             ring_cap: 256,
             queue_shed: 192,
@@ -980,6 +980,38 @@ mod tests {
             "admission above the token rate: {r:?}"
         );
         assert!(r.completed > 0, "system must keep completing under overload");
+    }
+
+    /// The three sheds behind the token bucket, which `BENCH_prod.json`
+    /// never fires: with the bucket wide open and the ring, queue-depth
+    /// and app-depth limits cut low, each fires, requests still complete,
+    /// and the run replays bit-identically.
+    #[test]
+    fn saturation_fires_ring_queue_and_app_sheds() {
+        let run = || {
+            let mut pp = ProdParams::small();
+            pp.ring_cap = 8;
+            pp.queue_shed = 4;
+            pp.app_inflight_max = 1;
+            let mut s = build(&pp);
+            let mut gen = small_workload(3_000_000.0, 4_000_000, pp.edge_threads);
+            let mut tb = TokenBucket::new(1_000_000_000, 1_000_000);
+            let r = s.run_open_loop(&mut gen, &mut tb, &RunOpts::default());
+            let end = s.sys.k.now_max();
+            (r, end)
+        };
+        let (r, end) = run();
+        assert_eq!(r.shed_bucket, 0, "the bucket must be wide open: {r:?}");
+        assert!(r.shed_ring > 0, "full ingress rings must shed: {r:?}");
+        assert!(r.guest.shed_queue > 0, "deep lanes must shed in the edge: {r:?}");
+        assert!(r.guest.shed_app > 0, "a busy app tier must shed: {r:?}");
+        assert!(r.completed > 0 && r.guest.failed == 0, "requests must keep completing: {r:?}");
+        let (again, end_again) = run();
+        assert_eq!(
+            format!("{r:?} end={end}"),
+            format!("{again:?} end={end_again}"),
+            "a saturated run must replay bit-identically"
+        );
     }
 
     #[test]

@@ -45,24 +45,14 @@ pub const CMD_BENIGN: u64 = 0;
 /// plugin).
 pub const CMD_REPLAY: u64 = 2;
 
-/// Reads a `u64` environment knob (decimal, or hex with a `0x` prefix).
-fn env_u64(name: &str, default: u64) -> u64 {
-    let parse = |v: String| match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(h) => u64::from_str_radix(h, 16).ok(),
-        None => v.parse().ok(),
-    };
-    std::env::var(name).ok().and_then(parse).unwrap_or(default)
-}
-
-/// Scenario parameters (the `PLUGIN_*` environment knobs).
+/// Scenario parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct PluginParams {
-    /// Number of plugin slots (`PLUGIN_N`).
+    /// Number of plugin slots.
     pub n: usize,
-    /// Host loop iterations — each iteration calls every plugin once
-    /// (`PLUGIN_OPS`).
+    /// Host loop iterations — each iteration calls every plugin once.
     pub ops: u64,
-    /// Signature verification key (`PLUGIN_KEY`).
+    /// Signature verification key.
     pub key: u64,
     /// Simulated CPUs.
     pub cpus: usize,
@@ -82,20 +72,6 @@ impl Default for PluginParams {
                 syscall_mask: (1 << sysno::GETPID) | (1 << sysno::GETTID) | (1 << sysno::CLOCK_NS),
                 threads: 1,
             },
-        }
-    }
-}
-
-impl PluginParams {
-    /// Parameters from the environment (`PLUGIN_N`, `PLUGIN_OPS`,
-    /// `PLUGIN_KEY`), with the documented defaults.
-    pub fn from_env() -> PluginParams {
-        let d = PluginParams::default();
-        PluginParams {
-            n: env_u64("PLUGIN_N", d.n as u64).clamp(1, 16) as usize,
-            ops: env_u64("PLUGIN_OPS", d.ops).max(1),
-            key: env_u64("PLUGIN_KEY", d.key),
-            ..d
         }
     }
 }

@@ -24,9 +24,9 @@
 //! * **Armed state is thread-local**, like the tracer: tests running on
 //!   separate host threads cannot interfere with each other.
 //!
-//! Plans come from the `DIPC_FAULTS` environment variable (see
-//! [`FaultPlan::parse`] for the grammar) or are built programmatically and
-//! armed with [`arm`]. Every hit is appended to an injection log
+//! Plans are parsed from a spec string (the bench binaries' `DIPC_FAULTS`
+//! variable; see [`FaultPlan::parse`] for the grammar) or built
+//! programmatically, and armed with [`arm`]. Every hit is appended to an injection log
 //! ([`log_render`]) that replay tests compare byte-for-byte, and mirrored
 //! into the tracer as an instant event when tracing is enabled.
 
@@ -304,24 +304,6 @@ pub fn arm(plan: FaultPlan) {
         })
     });
     ARMED.with(|a| a.set(true));
-}
-
-/// Arms from the `DIPC_FAULTS` environment variable. Returns whether a
-/// plan was armed; an unparsable spec prints a warning and arms nothing.
-pub fn arm_from_env() -> bool {
-    match std::env::var("DIPC_FAULTS") {
-        Ok(spec) if !spec.is_empty() => match FaultPlan::parse(&spec) {
-            Ok(p) => {
-                arm(p);
-                true
-            }
-            Err(e) => {
-                eprintln!("warning: ignoring DIPC_FAULTS: {e}");
-                false
-            }
-        },
-        _ => false,
-    }
 }
 
 /// Disarms injection for the current thread (the log is discarded).

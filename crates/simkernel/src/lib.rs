@@ -26,17 +26,6 @@ pub mod process;
 pub mod syscall;
 
 pub use accounting::{TimeBreakdown, TimeCat};
-
-/// Number of simulated CPUs from the `SMP_CPUS` environment variable
-/// (≥ 1, capped at 64), or `default` when unset/invalid. The OLTP stacks
-/// and benches use this so one knob scales every experiment.
-pub fn smp_cpus(default: usize) -> usize {
-    match std::env::var("SMP_CPUS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n.min(64),
-        _ => default,
-    }
-}
-
 pub use costs::SysCosts;
 pub use event::{Event, EventQueue};
 pub use kernel::{KStep, Kernel, KernelConfig, WakePolicy};
