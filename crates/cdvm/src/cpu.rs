@@ -163,15 +163,35 @@ pub struct Cpu {
     reported: HostCacheStats,
 }
 
-/// One dcache decision held in a register by the block execution loop: a
-/// straight copy of the [`crate::dcache`] entry that served (or was
-/// filled by) the most recent 8-byte load/store. Valid only within one
-/// block run, where every dcache context guard — table generation,
-/// current domain, kernel mode, APL version, active page table — is
-/// provably invariant (their mutators are all block terminators, traps
-/// or crossing edges), so a `vpn` + direction-bit compare is the whole
-/// residual check. A served access replays exactly what a dcache hit
-/// replays (see [`Cpu::dmemo_replay`]).
+/// One dcache decision held by the block dispatch loop for the whole of
+/// one [`Cpu::run`]: a straight copy of the [`crate::dcache`] entry that
+/// served (or was filled by) the most recent 8-byte load/store. A served
+/// access replays exactly what a dcache hit replays (see
+/// [`Cpu::dmemo_replay`]), and a `vpn` + direction-bit compare is the
+/// whole per-access check, because the memo is dropped wherever the
+/// context the decision was made in — domain, mode, page table, APL
+/// content, table generation — can change inside a run:
+///
+/// * a crossing at a block entry (the domain), and one that [`Cpu::step`]
+///   makes at a misaligned PC, which no block covers — the dispatch loop
+///   drops the memo before it steps such a PC (a step-only entry never
+///   retires: its bytes do not decode);
+/// * `Sysret` (the mode) and `PtSwitch` (the page table), dropped before
+///   they execute.
+///
+/// Nothing else moves that context during a run: the rest of the ISA
+/// cannot, user → kernel entry is an `Ecall` event that ends the run, and
+/// mapping changes, APL fills and updates and fault-injection flips all
+/// happen in the kernel or the host between two `Cpu::run` calls (the run
+/// holds `&mut Memory` and `&mut self`); each run starts without a memo.
+/// A kernel-mode entry that retags `cur_dom` keeps the memo: kernel
+/// decisions hold under any domain, as in the dcache. So a chained
+/// same-domain edge keeps the memo, and a crossing, `Sysret` or
+/// `PtSwitch` does not.
+///
+/// Recording the context in the memo and comparing it at every block
+/// entry instead measured slower than not keeping the memo across blocks
+/// at all (numbers under ROADMAP item 2).
 #[derive(Clone, Copy)]
 struct DMemo {
     vpn: u64,
@@ -386,6 +406,7 @@ impl Cpu {
         deadline: u64,
     ) -> RunExit {
         let mut retired = 0u64;
+        let mut dmemo = None;
         'dispatch: while self.cycles < deadline {
             // First the block the previous run left mid-way, if this run
             // starts at that PC and the block is still current.
@@ -395,7 +416,9 @@ impl Cpu {
                 .or_else(|| self.lookup_or_form(bcache, mem, cost).map(|slot| (slot, 0)));
             let Some((mut slot, mut from)) = entry else {
                 // Unblockable PC (misaligned, or unmapped — `step` raises
-                // the exact fault).
+                // the exact fault). A misaligned PC may also execute, and
+                // cross domains on its way: the memo does not survive it.
+                dmemo = None;
                 match self.step(mem, rev, cost) {
                     StepEvent::Retired => retired += 1,
                     ev => return RunExit { event: ev, retired, deadline: false },
@@ -423,10 +446,20 @@ impl Cpu {
                 // runs budgeted (the deadline re-checked per instruction).
                 let fits = self.cycles.saturating_add(max_cost) < deadline;
                 let outcome = if fits && from == 0 {
-                    self.exec_block(bcache, slot, 0, None, mem, rev, cost, &mut retired)
+                    self.exec_block(bcache, slot, 0, None, mem, rev, cost, &mut retired, &mut dmemo)
                 } else {
                     let budget = (!fits).then_some(deadline);
-                    self.exec_block_tail(bcache, slot, from, budget, mem, rev, cost, &mut retired)
+                    self.exec_block_tail(
+                        bcache,
+                        slot,
+                        from,
+                        budget,
+                        mem,
+                        rev,
+                        cost,
+                        &mut retired,
+                        &mut dmemo,
+                    )
                 };
                 match outcome {
                     BlockOutcome::Event(ev) => {
@@ -540,6 +573,9 @@ impl Cpu {
     /// call-gate alignment was proven for the entry PC only) is neither
     /// consulted nor installed. With a `budget`, the deadline is checked
     /// before every instruction after the first, as the interpreter does.
+    ///
+    /// `dmemo` is the run's operand memo (see [`DMemo`]); a crossing at
+    /// the entry drops it.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn exec_block(
@@ -552,6 +588,7 @@ impl Cpu {
         rev: &mut RevocationTable,
         cost: &CostModel,
         retired: &mut u64,
+        dmemo: &mut Option<DMemo>,
     ) -> BlockOutcome {
         let pc = self.pc;
         let pte = bcache.block_at(slot).pte;
@@ -609,6 +646,7 @@ impl Cpu {
                 }
             }
             self.cur_dom = pte.tag;
+            *dmemo = None;
             self.domain_crossings += 1;
             if self.instrument {
                 simtrace::counter("apl_hit", 1);
@@ -649,11 +687,6 @@ impl Cpu {
             }
         }
 
-        // One-entry operand memo: the last dcache decision this block run
-        // produced, kept in a register so repeated accesses to the same
-        // page skip even the dcache probe. Scoped to this one block run —
-        // it never survives a block edge (where the domain can change).
-        let mut dmemo: Option<DMemo> = None;
         // Every exit settles the guaranteed iTLB hits of the fetches after
         // the entry's real access: `done - from`, less the entry itself.
         for (k, bi) in block.instrs.iter().enumerate().skip(start) {
@@ -683,15 +716,12 @@ impl Cpu {
             // Loads and stores dominate real block bodies; dispatch them
             // straight to the shared op bodies (identical to the
             // `execute()` arms — they *are* the arms) without paying the
-            // full-ISA match and its stack frame. The one-entry operand
-            // memo is sound because every dcache guard (table generation,
-            // domain, mode, APL version) is invariant between a block's
-            // instructions: all of their mutators are terminators, traps
-            // or crossing edges, which end the block.
+            // full-ISA match and its stack frame. They consult the run's
+            // one-entry operand memo (see [`DMemo`]).
             let ev = match bi.instr {
                 Instr::Ld { rd, rs1, imm } => {
                     self.cycles += cost.base;
-                    match self.op_ld::<true>(mem, rev, cost, rd, rs1, imm, &mut dmemo) {
+                    match self.op_ld::<true>(mem, rev, cost, rd, rs1, imm, dmemo) {
                         Ok(()) => {
                             self.pc = self.pc.wrapping_add(INSTR_BYTES);
                             StepEvent::Retired
@@ -701,13 +731,18 @@ impl Cpu {
                 }
                 Instr::St { rs1, rs2, imm } => {
                     self.cycles += cost.base;
-                    match self.op_st::<true>(mem, rev, cost, rs1, rs2, imm, &mut dmemo) {
+                    match self.op_st::<true>(mem, rev, cost, rs1, rs2, imm, dmemo) {
                         Ok(()) => {
                             self.pc = self.pc.wrapping_add(INSTR_BYTES);
                             StepEvent::Retired
                         }
                         Err(ev) => ev,
                     }
+                }
+                Instr::Sysret { .. } | Instr::PtSwitch { .. } => {
+                    // Leaves kernel mode / switches the page table.
+                    *dmemo = None;
+                    self.execute(bi.instr, mem, rev, cost)
                 }
                 _ => self.execute(bi.instr, mem, rev, cost),
             };
@@ -764,11 +799,12 @@ impl Cpu {
         rev: &mut RevocationTable,
         cost: &CostModel,
         retired: &mut u64,
+        dmemo: &mut Option<DMemo>,
     ) -> BlockOutcome {
         if budget.is_some() {
             bcache.note_budgeted();
         }
-        self.exec_block(bcache, slot, from, budget, mem, rev, cost, retired)
+        self.exec_block(bcache, slot, from, budget, mem, rev, cost, retired, dmemo)
     }
 
     /// Builds the crossing descriptor for a just-passed full check on
@@ -1329,9 +1365,9 @@ impl Cpu {
     /// `Ok`), so an error return leaves the CPU exactly at the faulting
     /// instruction.
     ///
-    /// With `MEMO`, consults and maintains the block loop's one-entry
-    /// operand memo (see [`DMemo`]); `execute()` passes `MEMO = false`
-    /// and the memo plumbing compiles out.
+    /// With `MEMO`, consults and maintains the run's one-entry operand
+    /// memo (see [`DMemo`]); `execute()` passes `MEMO = false` and the
+    /// memo plumbing compiles out.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn op_ld<const MEMO: bool>(

@@ -6,10 +6,22 @@
 //! inside `kread`/`kwrite` to actually move the bytes. For the common
 //! case — a single-page access to a page the current domain may touch —
 //! both are redundant once the first access resolved them. This cache
-//! memoises the resolved decision per `(page table, virtual page)`:
-//! the [`simmem::Pte`] for frame-direct access and precomputed
+//! memoises the resolved decision per `(page table, virtual page,
+//! domain)`: the [`simmem::Pte`] for frame-direct access and precomputed
 //! read/write admissibility bits for the *current-domain* context the
 //! entry was filled under.
+//!
+//! # Indexing
+//!
+//! The cache is direct-mapped, and the slot hashes the accessing domain
+//! together with the page: user accesses index under `cur_dom`, kernel
+//! accesses (whose decision holds under any domain) under the fixed
+//! [`simmem::DomainTag::KERNEL`]. dIPC keeps every process in one page
+//! table, so one page is routinely touched from several domains in turn
+//! (a caller, its proxy, the callee); with the page alone as the index
+//! each crossing evicted the decision the other side had just filled.
+//! The index only places entries — every guard below is still compared
+//! on every hit.
 //!
 //! # Exactness
 //!
@@ -35,6 +47,11 @@
 //! so they always take the full check; `CAP_STORE` pages are never
 //! cached (the tamper fault must fire). Accesses that straddle a page
 //! boundary bypass the cache entirely.
+//!
+//! In front of the cache sits the block loop's one-entry operand memo
+//! (`DMemo` in `cpu.rs`): a copy of the last 8-byte load/store's
+//! decision, kept for one `Cpu::run` and dropped wherever that decision's
+//! context can change (a crossing, `Sysret`, `PtSwitch`).
 //!
 //! Part of the fast engine: a CPU built under `CDVM_NO_FASTPATH=1`
 //! ([`simmem::fastpath_enabled`]) never probes or fills it.
@@ -92,12 +109,20 @@ impl DCache {
         DCache { entries: vec![None; ENTRIES], hits: 0, misses: 0 }
     }
 
+    /// The slot of `(pt, vpn)` as seen from `dom` (user mode) or from the
+    /// kernel, whose entries serve under any domain and so index under the
+    /// one fixed [`DomainTag::KERNEL`].
     #[inline]
-    fn index(pt: PageTableId, vpn: u64) -> usize {
+    fn index(pt: PageTableId, vpn: u64, dom: DomainTag, kernel: bool) -> usize {
         // Fibonacci multiply hash indexed from the top product bits, so
         // pages in distant VA windows (stack, heap, shared dIPC regions)
-        // don't alias when they agree in the low page-number bits.
-        let k = vpn.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        // don't alias when they agree in the low page-number bits. The
+        // domain enters the key above the page number (page numbers stay
+        // below bit 40), so one page touched from several domains — dIPC's
+        // shared page table at work — spreads over distinct slots instead
+        // of evicting itself on every crossing.
+        let dom = if kernel { DomainTag::KERNEL } else { dom };
+        let k = (vpn ^ ((dom.0 as u64) << 40)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         ((k >> 56) as usize ^ pt.0.wrapping_mul(0x9e37_79b9)) & (ENTRIES - 1)
     }
 
@@ -117,7 +142,7 @@ impl DCache {
         apl_version: u64,
         write: bool,
     ) -> Option<(Pte, DGrant, bool, bool)> {
-        if let Some(e) = &self.entries[Self::index(pt, vpn)] {
+        if let Some(e) = &self.entries[Self::index(pt, vpn, dom, kernel)] {
             if e.pt == pt
                 && e.vpn == vpn
                 && e.table_gen == table_gen
@@ -152,7 +177,7 @@ impl DCache {
         write_ok: bool,
         pte: Pte,
     ) {
-        self.entries[Self::index(pt, vpn)] = Some(Entry {
+        self.entries[Self::index(pt, vpn, dom, kernel)] = Some(Entry {
             pt,
             vpn,
             table_gen,
@@ -166,9 +191,9 @@ impl DCache {
         });
     }
 
-    /// Counts a hit served from the block loop's one-entry operand memo
-    /// (a register-resident copy of a decision this cache vouched for; see
-    /// `Cpu::exec_block`), so the reported hit rate covers both levels.
+    /// Counts a hit served from the run-scoped one-entry operand memo (a
+    /// copy of a decision this cache vouched for; see `DMemo` in
+    /// `cpu.rs`), so the reported hit rate covers both levels.
     #[inline]
     pub fn note_hit(&mut self) {
         self.hits += 1;
@@ -216,5 +241,33 @@ mod tests {
         // Kernel entries serve regardless of the current domain tag.
         assert!(c.lookup(PT, 0x22, 5, DomainTag(42), true, 99, true).is_some());
         assert!(c.lookup(PT, 0x22, 5, DomainTag(42), false, 99, true).is_none(), "left kernel");
+    }
+
+    #[test]
+    fn one_page_from_two_domains_hits_in_both_once_warm() {
+        // A page shared by a caller and its callee (dIPC's one page table)
+        // read alternately from both sides: once each side has filled its
+        // decision, neither evicts the other.
+        let mut c = DCache::new();
+        let (caller, callee) = (DomainTag(1), DomainTag(2));
+        for dom in [caller, callee] {
+            assert!(c.lookup(PT, 0x30, 5, dom, false, 3, false).is_none(), "cold");
+            c.fill(PT, 0x30, 5, dom, false, 3, DGrant::Apl(HwTag(0)), true, false, pte());
+        }
+        for _ in 0..8 {
+            for dom in [caller, callee] {
+                assert!(c.lookup(PT, 0x30, 5, dom, false, 3, false).is_some(), "{dom:?} evicted");
+            }
+        }
+        assert_eq!(c.stats(), (16, 2));
+    }
+
+    #[test]
+    fn kernel_entry_serves_under_any_domain() {
+        let mut c = DCache::new();
+        c.fill(PT, 0x40, 5, DomainTag(3), true, 3, DGrant::Kernel, true, true, pte());
+        for dom in (0..64).map(DomainTag) {
+            assert!(c.lookup(PT, 0x40, 5, dom, true, 7, true).is_some(), "kernel under {dom:?}");
+        }
     }
 }

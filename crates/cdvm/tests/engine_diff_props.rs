@@ -4,15 +4,18 @@
 //! cross-domain calls, `MemCpy`, register-driven `Work`, and stores that
 //! patch an instruction of the loop they sit in — are cut into slices of
 //! random widths (1–700 cycles) while a random mutator schedule strikes
-//! between slices (APL grant flips, APL-cache evictions, a remap of the
-//! callee page). After *every* slice the fast engine must sit exactly where
-//! the reference interpreter sits: same exit, cycles, PC, registers,
-//! retired count, domain, crossings, iTLB/dTLB/APL-cache counters.
+//! between slices (flips of domain 1's entry grant into domain 2 and of
+//! domain 2's write grant on domain 1's data, APL-cache evictions, a remap
+//! of the callee page). After *every* slice the fast engine must sit
+//! exactly where the reference interpreter sits: same exit, cycles, PC,
+//! registers, retired count, domain, crossings, iTLB/dTLB/APL-cache
+//! counters.
 //!
 //! This is the coverage that replaced the intermediate cells of the old
 //! engine matrix. It fails when the code-epoch compare of
-//! `BlockCache::valid` or the `apl_version` compare on `CrossDesc` is
-//! removed (checked by mutation).
+//! `BlockCache::valid`, the `apl_version` compare on `CrossDesc`, or the
+//! drop of the run-scoped operand memo (`DMemo`) at a crossing is removed
+//! (checked by mutation).
 //!
 //! Cases come from the in-tree proptest shim's deterministic generator; a
 //! failing case is shrunk greedily (drop body items, loop iterations,
@@ -22,7 +25,7 @@
 mod common;
 
 use cdvm::isa::reg::*;
-use cdvm::{Asm, Instr};
+use cdvm::{Asm, Fault, FaultKind, Instr, StepEvent};
 use codoms::apl::{Apl, Perm};
 use common::{drive, world, Snap, CODE, DATA, FAR};
 use proptest::prelude::*;
@@ -77,6 +80,10 @@ enum Mutation {
     None,
     /// Flip whether domain 1's APL grants entry into domain 2.
     ToggleGrant,
+    /// Flip domain 2's grant on domain 1 between `Write` and `Read`: the
+    /// callee's stores into domain 1's data page are allowed or denied,
+    /// while its loads and its return jump stay allowed.
+    ToggleDataGrant,
     /// Drop domain `1 + n`'s APL from the CPU's APL cache.
     Evict(u8),
     /// Unmap the callee page and map a fresh frame with the same code.
@@ -120,6 +127,7 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
         Just(Mutation::None),
         Just(Mutation::None),
         Just(Mutation::ToggleGrant),
+        Just(Mutation::ToggleDataGrant),
         (0u8..2).prop_map(Mutation::Evict),
         Just(Mutation::RemapCallee),
     ]
@@ -281,6 +289,16 @@ fn run(case: &Case, caller: &[u8], callee: &[u8], fast: bool) -> Vec<Snap> {
                 w.apls[0] = now.clone();
                 w.cpu.apl_cache.update(DomainTag(1), now);
             }
+            Mutation::ToggleDataGrant => {
+                let mut now = Apl::new();
+                let flipped = match w.apls[1].get(DomainTag(1)) {
+                    Perm::Write => Perm::Read,
+                    _ => Perm::Write,
+                };
+                now.set(DomainTag(1), flipped);
+                w.apls[1] = now.clone();
+                w.cpu.apl_cache.update(DomainTag(2), now);
+            }
             Mutation::Evict(n) => w.cpu.apl_cache.invalidate(DomainTag(1 + n as u32)),
             Mutation::RemapCallee => {
                 w.mem.unmap(pt, FAR, 1);
@@ -293,9 +311,11 @@ fn run(case: &Case, caller: &[u8], callee: &[u8], fast: bool) -> Vec<Snap> {
     })
 }
 
-/// `Ok` carries the domain crossings the case took; `Err` names the first
-/// slice on which the engines disagree (or the panic either died with).
-fn check(case: &Case) -> Result<u64, String> {
+/// `Ok` carries the domain crossings the case took and how many callee
+/// stores were denied (domain 2's write grant flipped off); `Err` names
+/// the first slice on which the engines disagree (or the panic either died
+/// with).
+fn check(case: &Case) -> Result<(u64, usize), String> {
     let (caller, callee) = programs(case);
     let both = std::panic::catch_unwind(|| {
         (run(case, &caller, &callee, false), run(case, &caller, &callee, true))
@@ -312,7 +332,14 @@ fn check(case: &Case) -> Result<u64, String> {
     if fast.len() != reference.len() {
         return Err(format!("{} slices on fast, {} on reference", fast.len(), reference.len()));
     }
-    Ok(fast.last().expect("ran").crossings)
+    // A denied callee store: the second instruction of an entry.
+    let denied_store =
+        |f: &Fault| matches!(f.kind, FaultKind::Codoms(_)) && f.pc >= FAR && (f.pc - FAR) % 64 == 8;
+    let denied = fast
+        .iter()
+        .filter(|s| matches!(s.exit.event, StepEvent::Fault(f) if denied_store(&f)))
+        .count();
+    Ok((fast.last().expect("ran").crossings, denied))
 }
 
 /// Greedy shrink: keeps any single simplification under which the engines
@@ -353,11 +380,14 @@ fn shrink(mut case: Case) -> Case {
 fn random_programs_agree_slice_for_slice_on_both_engines() {
     let strategy = arb_case();
     let mut rng = TestRng::deterministic();
-    let (mut crossings, mut patches) = (0u64, 0usize);
+    let (mut crossings, mut denials, mut patches) = (0u64, 0usize, 0usize);
     for n in 0..CASES {
         let case = strategy.generate(&mut rng);
         match check(&case) {
-            Ok(n) => crossings += n,
+            Ok((c, d)) => {
+                crossings += c;
+                denials += d;
+            }
             Err(_) => {
                 // Quiet the panics the shrinker's probes may raise.
                 std::panic::set_hook(Box::new(|_| {}));
@@ -371,5 +401,6 @@ fn random_programs_agree_slice_for_slice_on_both_engines() {
     }
     // The generator must actually reach what the test is for.
     assert!(crossings > 1_000, "only {crossings} domain crossings over all cases");
+    assert!(denials > 20, "only {denials} denied callee stores over all cases");
     assert!(patches > 50, "only {patches} self-patching stores over all cases");
 }

@@ -6,6 +6,12 @@
 //! asserts the CPU behaves as if no cache existed — by running the same
 //! scenario on the reference interpreter, which has none, and demanding
 //! the identical outcome.
+//!
+//! Checked by mutation: removing any of the places that drop the
+//! run-scoped operand memo — at a crossing, before stepping an unblockable
+//! PC, before `Sysret`/`PtSwitch` — fails the matching `memo_*` test
+//! below, and removing the domain from the `dcache` slot index fails
+//! `dcache::tests::one_page_from_two_domains_hits_in_both_once_warm`.
 
 mod common;
 
@@ -1067,4 +1073,183 @@ fn resume_then_crossing_sees_the_revoked_capability() {
         "{ev:?}"
     );
     assert_eq!((crossings, regs), (0, [12, 0, 0]));
+}
+
+// ---------------------------------------------------------------------
+// Run-scoped operand memo: the fast engine keeps the last load/store's
+// dcache decision for a whole `Cpu::run` and drops it where the context
+// of that decision changes (a crossing, `Sysret`, `PtSwitch`, a stepped
+// instruction). Each scenario reaches the second access inside one run,
+// after a context change the memo must not survive; all but the stepped
+// one over a *chained* edge.
+// ---------------------------------------------------------------------
+
+const MEMO_DATA: u64 = 0x90_000;
+
+/// What a memo scenario ends in: event, cycles, retired, `A0`, `A1`.
+type MemoOutcome = (StepEvent, u64, u64, u64, u64);
+
+/// Runs the program twice from `reset`: the first run forms both blocks
+/// and records the chain hint of the edge between them, the second must
+/// take that edge chained on the fast engine. Returns the second run's
+/// outcome.
+fn twice_chained(
+    fast: bool,
+    mem: &mut Memory,
+    cpu: &mut Cpu,
+    reset: impl Fn(&mut Cpu),
+) -> MemoOutcome {
+    let mut rev = RevocationTable::new();
+    reset(cpu);
+    run_to_event(cpu, mem, &mut rev);
+    reset(cpu);
+    let chains = cpu.block_stats().chains;
+    let ev = run_to_event(cpu, mem, &mut rev);
+    if fast {
+        assert!(cpu.block_stats().chains > chains, "the second access must be reached chained");
+    }
+    (ev, cpu.cycles, cpu.retired, cpu.reg(A0), cpu.reg(A1))
+}
+
+/// Runs `scenario` on both engines and demands the identical outcome.
+fn assert_memo_identical(name: &str, scenario: impl Fn(bool) -> MemoOutcome) -> MemoOutcome {
+    let reference = scenario(false);
+    assert_eq!(scenario(true), reference, "{name}: fast engine diverged from the reference");
+    reference
+}
+
+/// Domain 1 loads its own data page and jumps to `entry` in domain 2,
+/// which may be entered but holds no grant on domain 1's data; domain 2's
+/// load of that page at `load` must fault there. With `chained` the fast
+/// engine must reach `load` over a chained edge (see [`twice_chained`]);
+/// otherwise the program runs once.
+fn assert_denied_after_crossing(name: &str, entry: u64, callee: &[u8], load: u64, chained: bool) {
+    let mut a = Asm::new();
+    a.li(S0, MEMO_DATA);
+    a.push(Instr::Ld { rd: A0, rs1: S0, imm: 0 });
+    let here = a.here();
+    a.push(Instr::Jal { rd: 0, imm: (entry - (CODE + here)) as i32 });
+    let caller = a.finish().bytes;
+
+    let (ev, ..) = assert_memo_identical(name, |fast| {
+        let pages = [
+            (CODE, PageFlags::RX, 1, &caller[..]),
+            (FAR, PageFlags::RX, 2, callee),
+            (MEMO_DATA, PageFlags::RW, 1, &[7u8; 16]),
+        ];
+        let (mut mem, mut cpu) = machine(fast, &pages);
+        grant(&mut cpu, 1, 2, Perm::Read);
+        grant(&mut cpu, 2, 1, Perm::Nil);
+        if chained {
+            twice_chained(fast, &mut mem, &mut cpu, |cpu| {
+                cpu.pc = CODE;
+                cpu.cur_dom = DomainTag(1);
+            })
+        } else {
+            let ev = run_to_event(&mut cpu, &mut mem, &mut RevocationTable::new());
+            (ev, cpu.cycles, cpu.retired, cpu.reg(A0), cpu.reg(A1))
+        }
+    });
+    match ev {
+        StepEvent::Fault(f) => {
+            assert_eq!(f.pc, load, "{name}: the denial must land on the callee's load");
+            assert!(matches!(f.kind, FaultKind::Codoms(_)), "expected a denial, got {:?}", f.kind);
+        }
+        ev => panic!("{name}: domain 2 read domain 1's data without a grant: {ev:?}"),
+    }
+}
+
+#[test]
+fn memo_does_not_cross_into_a_domain_without_the_data_grant() {
+    let mut a = Asm::new();
+    a.push(Instr::Ld { rd: A1, rs1: S0, imm: 8 });
+    a.push(Instr::Halt);
+    assert_denied_after_crossing("chained", FAR, &a.finish().bytes, FAR, true);
+}
+
+#[test]
+fn memo_does_not_survive_a_stepped_crossing() {
+    // The entry is a misaligned PC, which no block covers: `Cpu::step`
+    // crosses and executes a jump there to the aligned block that loads.
+    let mut callee = vec![0u8; 4];
+    callee.extend_from_slice(&Instr::Jal { rd: 0, imm: 60 }.encode()); // to FAR + 64
+    callee.resize(64, 0);
+    callee.extend_from_slice(&Instr::Ld { rd: A1, rs1: S0, imm: 8 }.encode());
+    callee.extend_from_slice(&Instr::Halt.encode());
+    assert_denied_after_crossing("stepped", FAR + 4, &callee, FAR + 64, false);
+}
+
+#[test]
+fn memo_does_not_survive_sysret() {
+    // Kernel code stores to a read-only user page (kernel mode ignores
+    // the protection bits) and `Sysret`s into user code of the same
+    // domain, whose store to that page must fault on the protection bit.
+    let mut a = Asm::new();
+    a.li(S0, MEMO_DATA);
+    a.push(Instr::St { rs1: S0, rs2: ZERO, imm: 0 });
+    a.li(T0, CODE3);
+    a.push(Instr::Sysret { rs1: T0 });
+    let kernel = a.finish().bytes;
+    let mut a = Asm::new();
+    a.push(Instr::St { rs1: S0, rs2: S0, imm: 8 });
+    a.push(Instr::Halt);
+    let user = a.finish().bytes;
+
+    let (ev, ..) = assert_memo_identical("sysret", |fast| {
+        let pages = [
+            (CODE, PageFlags::RX, 1, &kernel[..]),
+            (CODE3, PageFlags::RX, 1, &user),
+            (MEMO_DATA, PageFlags::READ, 1, &[]),
+        ];
+        let (mut mem, mut cpu) = machine(fast, &pages);
+        twice_chained(fast, &mut mem, &mut cpu, |cpu| {
+            cpu.pc = CODE;
+            cpu.kernel_mode = true;
+        })
+    });
+    match ev {
+        StepEvent::Fault(f) => {
+            assert_eq!(f.pc, CODE3, "the fault must land on the user store");
+            assert!(
+                matches!(f.kind, FaultKind::Mem(MemFault::Protection { .. })),
+                "expected a protection fault, got {:?}",
+                f.kind
+            );
+        }
+        ev => panic!("user code wrote a read-only page through a kernel decision: {ev:?}"),
+    }
+}
+
+#[test]
+fn memo_does_not_survive_pt_switch() {
+    // The same code and data addresses under two page tables whose data
+    // frames differ: a load before `PtSwitch` and one after it must read
+    // their own table's frame.
+    let mut a = Asm::new();
+    a.li(S0, MEMO_DATA);
+    a.push(Instr::Ld { rd: A0, rs1: S0, imm: 0 });
+    a.li(T0, 1); // the second page table's id
+    a.push(Instr::PtSwitch { rs1: T0 });
+    a.push(Instr::Ld { rd: A1, rs1: S0, imm: 0 });
+    a.push(Instr::Halt);
+    let code = a.finish().bytes;
+
+    let (ev, _, _, a0, a1) = assert_memo_identical("pt-switch", |fast| {
+        let pages = [(CODE, PageFlags::RX, 1, &code[..]), (MEMO_DATA, PageFlags::RW, 1, &[0x11])];
+        let (mut mem, mut cpu) = machine(fast, &pages);
+        let pt2 = mem.new_page_table();
+        assert_eq!(pt2.0, 1);
+        for (base, flags, bytes) in
+            [(CODE, PageFlags::RX, &code[..]), (MEMO_DATA, PageFlags::RW, &[0x22])]
+        {
+            mem.map_anon(pt2, base, 1, flags, DomainTag(1));
+            mem.kwrite(pt2, base, bytes).unwrap();
+        }
+        twice_chained(fast, &mut mem, &mut cpu, |cpu| {
+            cpu.pc = CODE;
+            cpu.kernel_mode = true;
+            cpu.active_pt = Memory::GLOBAL_PT;
+        })
+    });
+    assert_eq!((ev, a0, a1), (StepEvent::Halt, 0x11, 0x22), "each load reads its own table");
 }

@@ -5,6 +5,23 @@
 //! page-walk penalty is charged. Page-table switches flush the TLB, which is
 //! how the simulation reproduces "block 6" (page-table switch) costs and the
 //! second-order overheads of process switching described in §2.2.
+//!
+//! # Layout
+//!
+//! Both engines probe the dTLB on every simulated load and store and the
+//! iTLB on every block entry, so the lookup is laid out for the host: the
+//! ways of all sets sit flat in one boxed slice (set `s` owns
+//! `ways[s * W .. (s + 1) * W]`), an empty way is a sentinel entry that no
+//! page number matches and whose LRU stamp (0) is older than any real one,
+//! and one *MRU way* index remembers the way that last hit or was filled.
+//! [`Tlb::access`] and [`Tlb::note_hits`] compare that way in line and scan
+//! the set out of line only on a mismatch.
+//!
+//! None of this is visible to the simulation: which pages are resident,
+//! the LRU victim, the hit/miss/flush counters and [`Tlb::occupancy`] are
+//! exactly those of a per-set list with push-on-fill and remove-on-
+//! invalidate (`crates/simmem/tests/props.rs` checks the two against each
+//! other after every operation).
 
 use crate::page::vpn;
 use crate::pagetable::PageTableId;
@@ -43,14 +60,22 @@ struct Entry {
     lru: u64,
 }
 
+/// An empty way: no virtual page number reaches `u64::MAX` (addresses are
+/// 64-bit, page numbers at most 52), and every real LRU stamp is a tick
+/// ≥ 1, so empty ways are the first LRU victims.
+const EMPTY: Entry = Entry { vpn: u64::MAX, pt: PageTableId(usize::MAX), lru: 0 };
+
 /// Set-associative TLB with LRU replacement.
 pub struct Tlb {
     config: TlbConfig,
-    sets: Vec<Vec<Entry>>,
+    /// `sets * ways` entries, set by set.
+    ways: Box<[Entry]>,
     /// `sets - 1` when the set count is a power of two (the common
     /// geometries), letting the hot index computation mask instead of
     /// dividing; `None` falls back to the modulo.
     mask: Option<usize>,
+    /// Index into `ways` of the way that last hit or was filled.
+    mru: usize,
     tick: u64,
     stats: TlbStats,
 }
@@ -61,46 +86,77 @@ impl Tlb {
         let mask = config.sets.is_power_of_two().then(|| config.sets - 1);
         Tlb {
             config,
-            sets: vec![Vec::new(); config.sets],
+            ways: vec![EMPTY; config.sets * config.ways].into_boxed_slice(),
             mask,
+            mru: 0,
             tick: 0,
             stats: TlbStats::default(),
         }
     }
 
+    /// The range of `ways` holding `vpn`'s set.
     #[inline]
-    fn set_idx(&self, vpn: u64) -> usize {
-        match self.mask {
+    fn set_of(&self, vpn: u64) -> core::ops::Range<usize> {
+        let set = match self.mask {
             Some(m) => (vpn as usize) & m,
             None => (vpn as usize) % self.config.sets,
-        }
+        };
+        set * self.config.ways..(set + 1) * self.config.ways
+    }
+
+    /// True when the MRU way holds `(pt, vpn)`. A way only ever holds a
+    /// page of its own set, so this is a hit without computing the set.
+    #[inline]
+    fn mru_holds(&self, pt: PageTableId, vpn: u64) -> bool {
+        let e = &self.ways[self.mru];
+        e.vpn == vpn && e.pt == pt
+    }
+
+    /// Index of the way holding `(pt, vpn)`, if resident.
+    fn find(&self, pt: PageTableId, vpn: u64) -> Option<usize> {
+        let set = self.set_of(vpn);
+        let base = set.start;
+        self.ways[set].iter().position(|e| e.vpn == vpn && e.pt == pt).map(|i| base + i)
     }
 
     /// Looks up a translation; fills the entry on miss.
     ///
     /// Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, pt: PageTableId, addr: u64) -> bool {
         self.tick += 1;
         let vpn = vpn(addr);
-        let set_idx = self.set_idx(vpn);
-        let set = &mut self.sets[set_idx];
-        if let Some(e) = set.iter_mut().find(|e| e.vpn == vpn && e.pt == pt) {
-            e.lru = self.tick;
+        if self.mru_holds(pt, vpn) {
+            self.ways[self.mru].lru = self.tick;
+            self.stats.hits += 1;
+            return true;
+        }
+        self.access_set(pt, vpn)
+    }
+
+    /// [`Tlb::access`] past an MRU mismatch: scan the set, fill the LRU
+    /// way on a miss.
+    #[inline(never)]
+    fn access_set(&mut self, pt: PageTableId, vpn: u64) -> bool {
+        if let Some(i) = self.find(pt, vpn) {
+            self.ways[i].lru = self.tick;
+            self.mru = i;
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        let entry = Entry { vpn, pt, lru: self.tick };
-        if set.len() < self.config.ways {
-            set.push(entry);
-        } else {
-            // Evict the LRU way.
-            let victim = set
-                .iter_mut()
-                .min_by_key(|e| e.lru)
-                .expect("non-empty set must have an LRU victim");
-            *victim = entry;
-        }
+        // Evict the LRU way (an empty way, if the set has one). Real
+        // stamps are distinct, so the victim is unique.
+        let set = self.set_of(vpn);
+        let base = set.start;
+        let victim = self.ways[set]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| e.lru)
+            .map(|(i, _)| base + i)
+            .expect("a set has at least one way");
+        self.ways[victim] = Entry { vpn, pt, lru: self.tick };
+        self.mru = victim;
         false
     }
 
@@ -110,6 +166,7 @@ impl Tlb {
     /// page would: the tick advances by `n`, the entry's LRU stamp moves to
     /// the final tick, and `n` hits are counted. Used by the cdvm block
     /// engine to batch the guaranteed same-page fetches inside a block.
+    #[inline]
     pub fn note_hits(&mut self, pt: PageTableId, addr: u64, n: u64) {
         if n == 0 {
             return;
@@ -117,24 +174,32 @@ impl Tlb {
         self.tick += n;
         self.stats.hits += n;
         let vpn = vpn(addr);
-        let set_idx = self.set_idx(vpn);
-        if let Some(e) = self.sets[set_idx].iter_mut().find(|e| e.vpn == vpn && e.pt == pt) {
-            e.lru = self.tick;
+        if self.mru_holds(pt, vpn) {
+            self.ways[self.mru].lru = self.tick;
+        } else {
+            self.note_hits_set(pt, vpn);
+        }
+    }
+
+    /// [`Tlb::note_hits`] past an MRU mismatch.
+    #[inline(never)]
+    fn note_hits_set(&mut self, pt: PageTableId, vpn: u64) {
+        if let Some(i) = self.find(pt, vpn) {
+            self.ways[i].lru = self.tick;
+            self.mru = i;
         }
     }
 
     /// Invalidates a single page's translation (TLB shootdown).
     pub fn invalidate(&mut self, pt: PageTableId, addr: u64) {
-        let vpn = vpn(addr);
-        let set_idx = self.set_idx(vpn);
-        self.sets[set_idx].retain(|e| !(e.vpn == vpn && e.pt == pt));
+        if let Some(i) = self.find(pt, vpn(addr)) {
+            self.ways[i] = EMPTY;
+        }
     }
 
     /// Flushes the entire TLB (page-table switch without ASIDs).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.ways.fill(EMPTY);
         self.stats.flushes += 1;
     }
 
@@ -145,7 +210,7 @@ impl Tlb {
 
     /// Number of valid entries currently cached.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.ways.iter().filter(|e| e.vpn != EMPTY.vpn).count()
     }
 }
 

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use simmem::page::{page_align_down, page_align_up, page_offset, vpn};
+use simmem::pagetable::PageTableId;
 use simmem::{DomainTag, FrameId, GlobalVas, Memory, PageFlags, PhysMem, PAGE_SIZE};
+use simmem::{Tlb, TlbConfig, TlbStats};
 use std::collections::{HashMap, HashSet};
 
 /// The eager frame store `PhysMem` must be indistinguishable from: every
@@ -26,7 +28,148 @@ impl EagerModel {
     }
 }
 
+/// The set-associative TLB as it was written before the flat MRU-way
+/// layout: one `Vec` per set, push on fill, `retain` on invalidate. Kept
+/// verbatim as the oracle [`Tlb`] must be indistinguishable from.
+struct OracleTlb {
+    config: TlbConfig,
+    sets: Vec<Vec<OracleEntry>>,
+    mask: Option<usize>,
+    tick: u64,
+    stats: TlbStats,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct OracleEntry {
+    vpn: u64,
+    pt: PageTableId,
+    lru: u64,
+}
+
+impl OracleTlb {
+    fn new(config: TlbConfig) -> OracleTlb {
+        let mask = config.sets.is_power_of_two().then(|| config.sets - 1);
+        OracleTlb {
+            config,
+            sets: vec![Vec::new(); config.sets],
+            mask,
+            tick: 0,
+            stats: TlbStats::default(),
+        }
+    }
+
+    fn set_idx(&self, vpn: u64) -> usize {
+        match self.mask {
+            Some(m) => (vpn as usize) & m,
+            None => (vpn as usize) % self.config.sets,
+        }
+    }
+
+    fn access(&mut self, pt: PageTableId, addr: u64) -> bool {
+        self.tick += 1;
+        let vpn = vpn(addr);
+        let set_idx = self.set_idx(vpn);
+        let set = &mut self.sets[set_idx];
+        if let Some(e) = set.iter_mut().find(|e| e.vpn == vpn && e.pt == pt) {
+            e.lru = self.tick;
+            self.stats.hits += 1;
+            return true;
+        }
+        self.stats.misses += 1;
+        let entry = OracleEntry { vpn, pt, lru: self.tick };
+        if set.len() < self.config.ways {
+            set.push(entry);
+        } else {
+            // Evict the LRU way.
+            let victim = set
+                .iter_mut()
+                .min_by_key(|e| e.lru)
+                .expect("non-empty set must have an LRU victim");
+            *victim = entry;
+        }
+        false
+    }
+
+    fn note_hits(&mut self, pt: PageTableId, addr: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.tick += n;
+        self.stats.hits += n;
+        let vpn = vpn(addr);
+        let set_idx = self.set_idx(vpn);
+        if let Some(e) = self.sets[set_idx].iter_mut().find(|e| e.vpn == vpn && e.pt == pt) {
+            e.lru = self.tick;
+        }
+    }
+
+    fn invalidate(&mut self, pt: PageTableId, addr: u64) {
+        let vpn = vpn(addr);
+        let set_idx = self.set_idx(vpn);
+        self.sets[set_idx].retain(|e| !(e.vpn == vpn && e.pt == pt));
+    }
+
+    fn flush(&mut self) {
+        for set in &mut self.sets {
+            set.clear();
+        }
+        self.stats.flushes += 1;
+    }
+
+    fn occupancy(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
 proptest! {
+    /// [`Tlb`] against [`OracleTlb`] on random geometries (non-powers of
+    /// two included) and random operation sequences over four page tables
+    /// and a few dozen pages: every return value, `stats()` and
+    /// `occupancy()` must agree after every operation. Fails if a set-scan
+    /// hit skips its LRU stamp or the MRU compare ignores the page table
+    /// (checked by mutation). Skipping the stamp on an MRU hit is the one
+    /// unobservable slip: the MRU way always holds the newest stamp, so
+    /// re-stamping it cannot reorder its set.
+    #[test]
+    fn tlb_matches_per_set_list_oracle(
+        sets in 1usize..=20,
+        ways in 1usize..=8,
+        // `(kind, page table, page, offset, n)`: kinds 0–13 access, 14–16
+        // access and then batch `n` hits on the same page (the block
+        // engine's fetch pattern), 17–18 invalidate, 19 flush.
+        ops in prop::collection::vec(
+            (0u8..20, 0usize..4, 0u64..40, 0u64..PAGE_SIZE, 1u64..10),
+            1..400,
+        ),
+    ) {
+        let config = TlbConfig { sets, ways };
+        let (mut tlb, mut oracle) = (Tlb::new(config), OracleTlb::new(config));
+        for (i, &(kind, pt, page, off, n)) in ops.iter().enumerate() {
+            let (pt, addr) = (PageTableId(pt), page * PAGE_SIZE + off);
+            match kind {
+                0..=16 => {
+                    let hit = tlb.access(pt, addr);
+                    prop_assert_eq!(hit, oracle.access(pt, addr), "op {}: access {:?}", i, config);
+                    if kind >= 14 {
+                        tlb.note_hits(pt, addr, n);
+                        oracle.note_hits(pt, addr, n);
+                    }
+                }
+                17 | 18 => {
+                    tlb.invalidate(pt, addr);
+                    oracle.invalidate(pt, addr);
+                }
+                _ => {
+                    tlb.flush();
+                    oracle.flush();
+                }
+            }
+            prop_assert_eq!(tlb.stats(), oracle.stats, "op {}: stats {:?}", i, config);
+            let occupancy = (tlb.occupancy(), oracle.occupancy());
+            prop_assert_eq!(occupancy.0, occupancy.1, "op {}: occupancy {:?}", i, config);
+        }
+    }
+
     #[test]
     fn alignment_laws(addr in 0u64..u64::MAX / 2) {
         let down = page_align_down(addr);
