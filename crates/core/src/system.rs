@@ -694,12 +694,7 @@ impl System {
 
         // Fill the per-thread tracking array entry.
         let ctx = &self.track[&key];
-        let base = self.k.cpus[cpu].percpu_base;
-        let array = self
-            .k
-            .mem
-            .kread_u64(Memory::GLOBAL_PT, base + percpu::PROC_CACHE)
-            .expect("percpu mapped");
+        let array = self.k.percpu_read(cpu, percpu::PROC_CACHE);
         let slot = array + hw.0 as u64 * percpu::PROC_CACHE_ENTRY;
         let (tls, stack_top, dcs, tidp) = (ctx.tls, ctx.stack_top, ctx.dcs, ctx.tidp);
         for (off, v) in [
@@ -715,13 +710,11 @@ impl System {
     }
 
     fn zero_track_slot(&mut self, cpu: usize, hw: u64) {
-        let base = self.k.cpus[cpu].percpu_base;
-        if let Ok(array) = self.k.mem.kread_u64(Memory::GLOBAL_PT, base + percpu::PROC_CACHE) {
-            if array != 0 {
-                let slot = array + hw * percpu::PROC_CACHE_ENTRY;
-                let zero = [0u8; percpu::PROC_CACHE_ENTRY as usize];
-                let _ = self.k.mem.kwrite(Memory::GLOBAL_PT, slot, &zero);
-            }
+        let array = self.k.percpu_read(cpu, percpu::PROC_CACHE);
+        if array != 0 {
+            let slot = array + hw * percpu::PROC_CACHE_ENTRY;
+            let zero = [0u8; percpu::PROC_CACHE_ENTRY as usize];
+            let _ = self.k.mem.kwrite(Memory::GLOBAL_PT, slot, &zero);
         }
     }
 
@@ -732,14 +725,8 @@ impl System {
     /// Attempts to recover a faulting thread by unwinding its KCS to the
     /// nearest live caller. Returns `true` if recovered.
     fn unwind_running(&mut self, cpu: usize, _tid: Tid, _fault: Fault) -> bool {
-        let base = self.k.cpus[cpu].percpu_base;
-        let top =
-            self.k.mem.kread_u64(Memory::GLOBAL_PT, base + percpu::KCS_TOP).expect("percpu mapped");
-        let kbase = self
-            .k
-            .mem
-            .kread_u64(Memory::GLOBAL_PT, base + percpu::KCS_BASE)
-            .expect("percpu mapped");
+        let top = self.k.percpu_read(cpu, percpu::KCS_TOP);
+        let kbase = self.k.percpu_read(cpu, percpu::KCS_BASE);
         let mut e = top;
         while e >= kbase + percpu::KCS_ENTRY {
             e -= percpu::KCS_ENTRY;
@@ -755,10 +742,7 @@ impl System {
             let (ret_addr, dom) = (pr.ret_addr, pr.dom);
             // Resume on the recorded proxy's return path with the KCS
             // positioned so it pops exactly this entry.
-            self.k
-                .mem
-                .kwrite_u64(Memory::GLOBAL_PT, base + percpu::KCS_TOP, e + percpu::KCS_ENTRY)
-                .expect("percpu mapped");
+            self.k.percpu_write(cpu, percpu::KCS_TOP, e + percpu::KCS_ENTRY);
             let c = self.k.cost.exception + 600;
             self.k.charge(cpu, TimeCat::Kernel, c);
             let cpu_ref = &mut self.k.cpus[cpu].cpu;
@@ -946,14 +930,11 @@ impl System {
     pub fn split_timeout(&mut self, tid: Tid) -> Option<Tid> {
         // Locate the thread's KCS view (live per-CPU copy if running).
         let (kcs_base, kcs_top, running_cpu) = match self.k.threads.get(&tid)?.state {
-            ThreadState::Running(cpu) => {
-                let base = self.k.cpus[cpu].percpu_base;
-                (
-                    self.k.mem.kread_u64(Memory::GLOBAL_PT, base + percpu::KCS_BASE).ok()?,
-                    self.k.mem.kread_u64(Memory::GLOBAL_PT, base + percpu::KCS_TOP).ok()?,
-                    Some(cpu),
-                )
-            }
+            ThreadState::Running(cpu) => (
+                self.k.percpu_read(cpu, percpu::KCS_BASE),
+                self.k.percpu_read(cpu, percpu::KCS_TOP),
+                Some(cpu),
+            ),
             ThreadState::Dead => return None,
             _ => {
                 let t = &self.k.threads[&tid];
@@ -1000,9 +981,9 @@ impl System {
         ctx.dcs = orig_dcs;
         let new_tid = {
             // Manual thread construction: the kernel's spawn path would
-            // allocate a stack/entry we do not want.
-            let id = self.k.threads.keys().map(|t| t.0).max().unwrap_or(0) + 1;
-            let new_tid = Tid(id);
+            // allocate a stack/entry we do not want. The id still comes
+            // from the kernel's counter, like a spawned thread's.
+            let new_tid = self.k.alloc_tid();
             let last_cpu = self.k.threads[&tid].last_cpu;
             self.k.threads.insert(
                 new_tid,
@@ -1052,13 +1033,7 @@ impl System {
         wr(&mut self.k.mem, kcs::RET_ADDR, gadget);
         let new_callee_top = kcs_base + percpu::KCS_ENTRY;
         match running_cpu {
-            Some(cpu) => {
-                let base = self.k.cpus[cpu].percpu_base;
-                self.k
-                    .mem
-                    .kwrite_u64(Memory::GLOBAL_PT, base + percpu::KCS_TOP, new_callee_top)
-                    .expect("percpu mapped");
-            }
+            Some(cpu) => self.k.percpu_write(cpu, percpu::KCS_TOP, new_callee_top),
             None => {
                 self.k.threads.get_mut(&tid).expect("exists").kcs_top = new_callee_top;
             }

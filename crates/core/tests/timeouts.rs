@@ -5,12 +5,9 @@ use cdvm::Instr;
 use dipc::{AppSpec, IsoProps, Signature, World, DIPC_ERR_TIMEDOUT};
 use simkernel::{KernelConfig, ThreadState};
 
-/// web calls srv.slow, which "hangs" for a long (but finite) time. The
-/// host times the call out; the caller resumes with ETIMEDOUT on a fresh
-/// thread; the callee continuation eventually returns into the split proxy
-/// and self-destructs.
-#[test]
-fn timeout_splits_caller_and_callee() {
+/// A one-CPU world where `web.main` calls `srv.slow`, which "hangs" for a
+/// long (but finite) time and then returns 99.
+fn slow_call_world() -> World {
     let mut w = World::new(KernelConfig { cpus: 1, ..KernelConfig::default() });
     let srv = AppSpec::new("srv", |a| {
         a.label("slow");
@@ -35,7 +32,16 @@ fn timeout_splits_caller_and_callee() {
     .import("srv", "slow", Signature::regs(1, 1), IsoProps::LOW);
     w.build(web);
     w.link();
+    w
+}
 
+/// web calls srv.slow, which "hangs" for a long (but finite) time. The
+/// host times the call out; the caller resumes with ETIMEDOUT on a fresh
+/// thread; the callee continuation eventually returns into the split proxy
+/// and self-destructs.
+#[test]
+fn timeout_splits_caller_and_callee() {
+    let mut w = slow_call_world();
     let tid = w.spawn("web", "main", &[]);
     let srv_pid = w.app("srv").pid;
 
@@ -57,6 +63,30 @@ fn timeout_splits_caller_and_callee() {
     );
     // The server survives the whole affair.
     assert!(w.sys.k.procs[&srv_pid].alive);
+}
+
+/// The split-off caller thread takes its id from the kernel's counter, so
+/// a thread spawned after the split gets another one instead of silently
+/// replacing the split thread in the thread table.
+#[test]
+fn thread_spawned_after_a_split_gets_its_own_id() {
+    let mut w = slow_call_world();
+    let tid = w.spawn("web", "main", &[]);
+    let srv_pid = w.app("srv").pid;
+    w.sys.run_until(|s| s.k.current_pid(0) == srv_pid);
+    let split = w.sys.split_timeout(tid).expect("call is splittable");
+    let spawned = w.spawn("web", "main", &[]);
+    assert_ne!(split, spawned, "the spawn reused the split thread's id");
+    assert_eq!(w.sys.k.threads.len(), 3);
+    assert_eq!(w.sys.k.threads[&split].tid, split);
+    assert_eq!(w.sys.k.threads[&spawned].tid, spawned);
+
+    // Both run to their own ends: the split caller with ETIMEDOUT, the new
+    // thread with the result of its own (untimed) call.
+    w.sys.run_to_completion();
+    assert_eq!(w.sys.k.threads[&split].exit_code, DIPC_ERR_TIMEDOUT);
+    assert_eq!(w.sys.k.threads[&spawned].exit_code, 99);
+    assert!(w.sys.k.threads.values().all(|t| t.state == ThreadState::Dead));
 }
 
 /// Splitting requires an in-progress call with stack confidentiality.

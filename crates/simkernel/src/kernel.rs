@@ -25,6 +25,7 @@
 //! [`Kernel::kill_process`] for the kill triggers — all decisions drawn
 //! from the deterministic plan PRNG at zero simulated cost.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
 use cdvm::isa::reg;
@@ -32,7 +33,9 @@ use cdvm::{CostModel, Cpu, Fault, FaultKind, RunExit, StepEvent};
 use codoms::apl::DomainTable;
 use codoms::cap::RevocationTable;
 use codoms::dcs::Dcs;
-use simmem::{DomainTag, GlobalVas, IdMap, Memory, PageFlags, PageTableId, ProcLayout, PAGE_SIZE};
+use simmem::{
+    DomainTag, FrameId, GlobalVas, IdMap, Memory, PageFlags, PageTableId, ProcLayout, PAGE_SIZE,
+};
 
 use crate::accounting::{TimeBreakdown, TimeCat};
 use crate::costs::SysCosts;
@@ -41,6 +44,7 @@ use crate::object::{drain_into, KObject, Listener, Pipe, Shm, Sock, Storage, VFi
 use crate::percpu;
 use crate::process::{BlockReason, Pid, Process, Thread, ThreadCtx, ThreadState, Tid};
 use crate::syscall::{err, errno, nr};
+use crate::table::DenseTable;
 
 /// Base of the kernel-shared region in the global page table (per-CPU areas,
 /// per-thread KCS and tracking caches, DCS pages).
@@ -126,6 +130,10 @@ pub struct CpuSlot {
     pub quantum_start: u64,
     /// Virtual address of this CPU's per-CPU page.
     pub percpu_base: u64,
+    /// The frame behind `percpu_base` and the `GLOBAL_PT` generation it
+    /// was resolved under (`u64::MAX`: not yet resolved). A `Cell` because
+    /// [`Kernel::percpu_read`] re-resolves it on `&self`.
+    percpu_frame: Cell<(FrameId, u64)>,
 }
 
 /// A queued thread with the two facts about it the scheduler scans for, so
@@ -240,10 +248,10 @@ pub struct Kernel {
     pub vas: GlobalVas,
     /// Per-CPU state.
     pub cpus: Vec<CpuSlot>,
-    /// All processes.
-    pub procs: IdMap<Pid, Process>,
-    /// All threads.
-    pub threads: IdMap<Tid, Thread>,
+    /// All processes, by id.
+    pub procs: DenseTable<Pid, Process>,
+    /// All threads, by id.
+    pub threads: DenseTable<Tid, Thread>,
     /// Global event queue.
     pub events: EventQueue,
     /// Futex wait queues keyed by physical (frame, offset).
@@ -302,8 +310,6 @@ impl Kernel {
             let base = kshared_next;
             kshared_next += PAGE_SIZE;
             mem.map_anon(Memory::GLOBAL_PT, base, 1, PageFlags::RW, kshared_dom);
-            mem.kwrite_u64(Memory::GLOBAL_PT, base + percpu::CPU_INDEX, i as u64)
-                .expect("percpu page just mapped");
             let mut cpu = Cpu::new(i);
             cpu.gs = base;
             cpus.push(CpuSlot {
@@ -314,9 +320,10 @@ impl Kernel {
                 breakdown: TimeBreakdown::new(),
                 quantum_start: 0,
                 percpu_base: base,
+                percpu_frame: Cell::new((FrameId(0), u64::MAX)),
             });
         }
-        Kernel {
+        let mut k = Kernel {
             mem,
             cost: cfg.cost,
             sys: cfg.sys,
@@ -324,8 +331,8 @@ impl Kernel {
             rev: RevocationTable::new(),
             vas: GlobalVas::new(),
             cpus,
-            procs: IdMap::default(),
-            threads: IdMap::default(),
+            procs: DenseTable::default(),
+            threads: DenseTable::default(),
             events: EventQueue::new(),
             futexes: IdMap::default(),
             pipes: Vec::new(),
@@ -345,7 +352,11 @@ impl Kernel {
             next_pid: 1,
             next_tid: 1,
             kshared_next,
+        };
+        for i in 0..k.cpus.len() {
+            k.percpu_write(i, percpu::CPU_INDEX, i as u64);
         }
+        k
     }
 
     // ------------------------------------------------------------------
@@ -479,8 +490,7 @@ impl Kernel {
     /// process-tracking cache in the kernel-shared domain.
     pub fn spawn_thread(&mut self, pid: Pid, entry: u64, args: &[u64]) -> Tid {
         assert!(args.len() <= 8, "at most 8 register arguments");
-        let tid = Tid(self.next_tid);
-        self.next_tid += 1;
+        let tid = self.alloc_tid();
 
         // Stack.
         let (sp, pt, dom) = {
@@ -549,6 +559,14 @@ impl Kernel {
         self.procs.get_mut(&pid).expect("checked").threads.push(tid);
         self.live_threads += 1;
         self.enqueue(cpu, tid, 0, false);
+        tid
+    }
+
+    /// Hands out the next thread id. Every thread the kernel or an embedder
+    /// creates takes its id here, so no two threads share one.
+    pub fn alloc_tid(&mut self) -> Tid {
+        let tid = Tid(self.next_tid);
+        self.next_tid += 1;
         tid
     }
 
@@ -653,11 +671,51 @@ impl Kernel {
     /// The process a CPU is *currently tracking* (the per-CPU current slot,
     /// which dIPC proxies switch without entering the kernel).
     pub fn current_pid(&self, cpu: usize) -> Pid {
-        let base = self.cpus[cpu].percpu_base;
-        Pid(self
+        Pid(self.percpu_read(cpu, percpu::CUR_PID))
+    }
+
+    /// Reads the word at offset `off` of CPU `cpu`'s per-CPU page.
+    ///
+    /// Per-CPU words are read on every slice and written on every context
+    /// switch, so they go straight to the page's frame instead of through
+    /// a translation: the slot caches the frame together with the global
+    /// page table's generation and re-resolves it only when the table has
+    /// changed since.
+    #[inline]
+    pub fn percpu_read(&self, cpu: usize, off: u64) -> u64 {
+        self.mem.phys().read_u64(self.percpu_frame(cpu), off)
+    }
+
+    /// Writes the word at offset `off` of CPU `cpu`'s per-CPU page (see
+    /// [`Kernel::percpu_read`]). The write takes `PhysMem`'s write path,
+    /// code-epoch bookkeeping included.
+    #[inline]
+    pub fn percpu_write(&mut self, cpu: usize, off: u64, v: u64) {
+        let frame = self.percpu_frame(cpu);
+        self.mem.phys_mut().write_u64(frame, off, v);
+    }
+
+    /// The frame backing CPU `cpu`'s per-CPU page.
+    #[inline]
+    fn percpu_frame(&self, cpu: usize) -> FrameId {
+        let gen = self.mem.table_generation(Memory::GLOBAL_PT);
+        match self.cpus[cpu].percpu_frame.get() {
+            (frame, seen) if seen == gen => frame,
+            _ => self.resolve_percpu_frame(cpu, gen),
+        }
+    }
+
+    /// [`Kernel::percpu_frame`] after a global page-table change.
+    #[inline(never)]
+    fn resolve_percpu_frame(&self, cpu: usize, gen: u64) -> FrameId {
+        let slot = &self.cpus[cpu];
+        let pte = self
             .mem
-            .kread_u64(Memory::GLOBAL_PT, base + percpu::CUR_PID)
-            .expect("percpu page is always mapped"))
+            .table(Memory::GLOBAL_PT)
+            .lookup(slot.percpu_base)
+            .expect("percpu page is always mapped");
+        slot.percpu_frame.set((pte.frame, gen));
+        pte.frame
     }
 
     /// Charges `cycles` to a CPU under a category.
@@ -945,15 +1003,11 @@ impl Kernel {
                         // The hardware tag changed owners: scrub the current
                         // thread's process-tracking slot so dIPC proxies
                         // cannot match a stale entry (§6.1.2).
-                        let base = self.cpus[i].percpu_base;
-                        if let Ok(array) =
-                            self.mem.kread_u64(Memory::GLOBAL_PT, base + percpu::PROC_CACHE)
-                        {
-                            if array != 0 {
-                                let slot = array + hw.0 as u64 * percpu::PROC_CACHE_ENTRY;
-                                let zero = [0u8; percpu::PROC_CACHE_ENTRY as usize];
-                                let _ = self.mem.kwrite(Memory::GLOBAL_PT, slot, &zero);
-                            }
+                        let array = self.percpu_read(i, percpu::PROC_CACHE);
+                        if array != 0 {
+                            let slot = array + hw.0 as u64 * percpu::PROC_CACHE_ENTRY;
+                            let zero = [0u8; percpu::PROC_CACHE_ENTRY as usize];
+                            let _ = self.mem.kwrite(Memory::GLOBAL_PT, slot, &zero);
                         }
                     }
                     KStep::Progress
@@ -1023,9 +1077,7 @@ impl Kernel {
         let tid = self.cpus[i].current.take().expect("a thread is running");
         let c = self.sys.ctx_save;
         self.charge(i, TimeCat::Sched, c);
-        let base = self.cpus[i].percpu_base;
-        let kcs_top =
-            self.mem.kread_u64(Memory::GLOBAL_PT, base + percpu::KCS_TOP).expect("percpu mapped");
+        let kcs_top = self.percpu_read(i, percpu::KCS_TOP);
         let cur_pid = self.current_pid(i);
         let t = self.threads.get_mut(&tid).expect("exists");
         t.ctx.save(&self.cpus[i].cpu);
@@ -1126,9 +1178,8 @@ impl Kernel {
         }
         self.threads[&tid].ctx.restore(&mut self.cpus[i].cpu);
         self.cpus[i].cpu.thread = tid.0;
-        let base = self.cpus[i].percpu_base;
         for (off, v) in words {
-            self.mem.kwrite_u64(Memory::GLOBAL_PT, base + off, v).expect("percpu mapped");
+            self.percpu_write(i, off, v);
         }
     }
 

@@ -24,6 +24,7 @@ pub mod object;
 pub mod percpu;
 pub mod process;
 pub mod syscall;
+pub mod table;
 
 pub use accounting::{TimeBreakdown, TimeCat};
 pub use costs::SysCosts;
@@ -32,3 +33,4 @@ pub use kernel::{KStep, Kernel, KernelConfig, WakePolicy};
 pub use object::{Fd, KObject};
 pub use process::{BlockReason, Pid, Process, Thread, ThreadCtx, ThreadState, Tid};
 pub use syscall::nr as sysno;
+pub use table::{DenseId, DenseTable};

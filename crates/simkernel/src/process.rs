@@ -7,6 +7,7 @@ use simmem::vas::BlockId;
 use simmem::{DomainTag, PageTableId, ProcLayout};
 
 use crate::object::KObject;
+use crate::table::DenseId;
 
 /// Process identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -15,6 +16,20 @@ pub struct Pid(pub u64);
 /// Global thread identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Tid(pub u64);
+
+impl DenseId for Pid {
+    #[inline]
+    fn slot(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+}
+
+impl DenseId for Tid {
+    #[inline]
+    fn slot(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+}
 
 /// Why a thread is blocked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

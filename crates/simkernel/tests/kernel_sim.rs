@@ -4,7 +4,8 @@ use std::collections::HashMap;
 
 use cdvm::isa::reg::*;
 use cdvm::{Asm, Instr};
-use simkernel::{sysno, Kernel, KernelConfig, TimeCat};
+use simkernel::{percpu, sysno, KStep, Kernel, KernelConfig, TimeCat};
+use simmem::Memory;
 
 fn sys(a: &mut Asm, n: u64) {
     a.li(A7, n);
@@ -564,6 +565,66 @@ fn many_threads_preempt_and_finish() {
     k.run_to_completion();
     for (n, tid) in tids.iter().enumerate() {
         assert_eq!(k.threads[tid].exit_code, n as u64);
+    }
+}
+
+/// The kernel reaches the per-CPU words through the frame it cached for
+/// the page, guarded by the global page table's generation. Remapping the
+/// page to another frame between slices must move both `current_pid` and
+/// the next context switch's writes to the new frame.
+#[test]
+fn percpu_words_follow_a_remapped_page() {
+    let mut k = kernel(1);
+    let pid = k.create_process("p", false);
+    let mut a = Asm::new();
+    // Three rounds of ~620k cycles of work (two max-length slices) and a
+    // yield, then exit with getpid().
+    a.li(S0, 3);
+    a.label("round");
+    a.li(S1, 200);
+    a.label("work");
+    a.push(Instr::Work { rs1: 0, imm: 3100 });
+    a.push(Instr::Addi { rd: S1, rs1: S1, imm: -1 });
+    a.bne(S1, ZERO, "work");
+    sys(&mut a, sysno::YIELD);
+    a.push(Instr::Addi { rd: S0, rs1: S0, imm: -1 });
+    a.bne(S0, ZERO, "round");
+    sys(&mut a, sysno::GETPID);
+    a.push(Instr::Halt);
+    let img = k.load_program(pid, &a.finish(), &HashMap::new());
+    let tids = [k.spawn_thread(pid, img.base, &[]), k.spawn_thread(pid, img.base, &[])];
+
+    // One slice: a thread is switched in and runs into the slice deadline.
+    assert_eq!(k.step_sim(), KStep::Progress);
+    let first = k.cpus[0].current.expect("the first slice ends mid-work");
+    assert_eq!(k.current_pid(0), pid);
+
+    // Remap the page to a fresh frame holding the same words and poison
+    // the old frame, which stays allocated.
+    let base = k.cpus[0].percpu_base;
+    let old = k.mem.lookup_pte(Memory::GLOBAL_PT, base).expect("percpu page mapped");
+    let new = k.mem.phys_mut().alloc_frame();
+    k.mem.phys_mut().copy_frame(old.frame, new);
+    for off in (0..percpu::SCRATCH).step_by(8) {
+        k.mem.phys_mut().write_u64(old.frame, off, 0xdead);
+    }
+    k.mem.map_shared(Memory::GLOBAL_PT, base, new, old.flags, old.tag);
+    assert_eq!(k.current_pid(0), pid, "current_pid read the old frame");
+
+    // Run to the next switch-in of the other thread.
+    let other = if first == tids[0] { tids[1] } else { tids[0] };
+    while k.cpus[0].current != Some(other) {
+        assert_eq!(k.step_sim(), KStep::Progress);
+    }
+    assert_eq!(k.mem.phys().read_u64(new, percpu::CUR_TID), other.0);
+    assert_eq!(
+        k.mem.phys().read_u64(old.frame, percpu::CUR_TID),
+        0xdead,
+        "load_thread wrote the old frame"
+    );
+    k.run_to_completion();
+    for tid in tids {
+        assert_eq!(k.threads[&tid].exit_code, pid.0);
     }
 }
 

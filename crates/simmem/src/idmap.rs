@@ -1,8 +1,9 @@
 //! [`IdMap`]: the standard `HashMap` with a fixed integer hasher.
 //!
-//! The simulator's hottest host-side tables are keyed by small integers it
-//! hands out itself — thread and process ids, virtual page numbers, physical
-//! futex addresses. SipHash protects a map against keys an attacker chose;
+//! Some of the simulator's hottest host-side tables are keyed by integers it
+//! derives itself — virtual page numbers, physical futex addresses. (Thread
+//! and process ids are dense enough to index a `Vec` instead; see
+//! `simkernel::table`.) SipHash protects a map against keys an attacker chose;
 //! none of these keys comes from outside the program, and hashing them was
 //! a measurable share of every kernel step. [`IdHasher`] is one multiply
 //! and a fold instead, and has no per-process seed, so two runs build the

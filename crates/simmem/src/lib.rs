@@ -8,7 +8,7 @@
 //! * [`pagetable`] — per-address-space page tables mapping virtual pages to
 //!   physical frames plus CODOMs metadata.
 //! * [`tlb`] — a small set-associative TLB model used for cost accounting of
-//!   page-table switches.
+//!   page-table switches (LRU by recency order, O(1) flush by epoch).
 //! * [`vas`] — the global virtual address space allocator used by dIPC to map
 //!   all dIPC-enabled processes into one shared page table (1 GiB block
 //!   reservations with per-block suballocation), plus a conventional
@@ -18,7 +18,7 @@
 //!   the page tables with a host-side translation cache (a pure host-speed
 //!   optimisation, invisible to the simulation).
 //! * [`idmap`] — [`IdMap`], the `HashMap` with a fixed integer hasher under
-//!   the page tables and the kernel's thread, process and futex tables.
+//!   the page tables and the kernel's futex and syscall-filter tables.
 //! * [`fastpath`] — the process-wide engine switch (`CDVM_NO_FASTPATH`):
 //!   the fast engine with its host-side caches here and in `cdvm`, or the
 //!   cache-free reference interpreter.

@@ -9,19 +9,35 @@
 //! # Layout
 //!
 //! Both engines probe the dTLB on every simulated load and store and the
-//! iTLB on every block entry, so the lookup is laid out for the host: the
-//! ways of all sets sit flat in one boxed slice (set `s` owns
-//! `ways[s * W .. (s + 1) * W]`), an empty way is a sentinel entry that no
-//! page number matches and whose LRU stamp (0) is older than any real one,
-//! and one *MRU way* index remembers the way that last hit or was filled.
-//! [`Tlb::access`] and [`Tlb::note_hits`] compare that way in line and scan
-//! the set out of line only on a mismatch.
+//! iTLB on every block entry, and every cross-process context switch
+//! flushes both, so the lookup and the flush are laid out for the host.
+//! The ways of all sets sit flat in one boxed slice (set `s` owns
+//! `ways[s * W .. (s + 1) * W]`), each set kept in recency order:
+//! position 0 is the most recently used way, the last position the LRU
+//! victim. [`Tlb::access`] and [`Tlb::note_hits`] compare a set's front
+//! way in line — a hit there changes nothing but the counter — and scan
+//! the rest of the set out of line, rotating a hit to the front. A miss
+//! rotates the whole set by one, which drops the last way, and fills the
+//! front. There are no LRU stamps and no tick.
+//!
+//! [`Tlb::flush`] is O(1): it bumps a 32-bit epoch that every entry
+//! carries in its key next to the page-table id, so every entry of an
+//! older epoch stops matching and counts as empty. Such entries never hit,
+//! so they never move forward and always sit behind the live ones, where
+//! the next fills evict them first. [`Tlb::invalidate`] keeps the same
+//! order by closing the gap it leaves and parking an empty way at the
+//! back. When the epoch wraps, the slots are cleared for real, so an entry
+//! 2^32 flushes old cannot come back to life.
 //!
 //! None of this is visible to the simulation: which pages are resident,
 //! the LRU victim, the hit/miss/flush counters and [`Tlb::occupancy`] are
 //! exactly those of a per-set list with push-on-fill and remove-on-
 //! invalidate (`crates/simmem/tests/props.rs` checks the two against each
-//! other after every operation).
+//! other after every operation, with flush-light and flush-heavy mixes).
+//! Mutation checks: packing the key without the epoch fails the
+//! `flush_clears` unit test and the oracle property, and skipping the
+//! move-to-front of a hit found by the set scan fails
+//! `lru_eviction_within_set` and the oracle property.
 
 use crate::page::vpn;
 use crate::pagetable::PageTableId;
@@ -56,27 +72,26 @@ pub struct TlbStats {
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Entry {
     vpn: u64,
-    pt: PageTableId,
-    lru: u64,
+    /// The page-table id in the low 32 bits, the flush epoch of the fill
+    /// in the high 32 bits.
+    key: u64,
 }
 
 /// An empty way: no virtual page number reaches `u64::MAX` (addresses are
-/// 64-bit, page numbers at most 52), and every real LRU stamp is a tick
-/// ≥ 1, so empty ways are the first LRU victims.
-const EMPTY: Entry = Entry { vpn: u64::MAX, pt: PageTableId(usize::MAX), lru: 0 };
+/// 64-bit, page numbers at most 52), so it matches no lookup.
+const EMPTY: Entry = Entry { vpn: u64::MAX, key: 0 };
 
 /// Set-associative TLB with LRU replacement.
 pub struct Tlb {
     config: TlbConfig,
-    /// `sets * ways` entries, set by set.
+    /// `sets * ways` entries, set by set, each set in recency order.
     ways: Box<[Entry]>,
     /// `sets - 1` when the set count is a power of two (the common
     /// geometries), letting the hot index computation mask instead of
     /// dividing; `None` falls back to the modulo.
     mask: Option<usize>,
-    /// Index into `ways` of the way that last hit or was filled.
-    mru: usize,
-    tick: u64,
+    /// Flush count modulo 2^32: the epoch live entries carry.
+    epoch: u32,
     stats: TlbStats,
 }
 
@@ -88,35 +103,39 @@ impl Tlb {
             config,
             ways: vec![EMPTY; config.sets * config.ways].into_boxed_slice(),
             mask,
-            mru: 0,
-            tick: 0,
+            epoch: 0,
             stats: TlbStats::default(),
         }
     }
 
-    /// The range of `ways` holding `vpn`'s set.
+    /// The live entry for `(pt, addr)`.
     #[inline]
-    fn set_of(&self, vpn: u64) -> core::ops::Range<usize> {
+    fn entry(&self, pt: PageTableId, addr: u64) -> Entry {
+        debug_assert!(pt.0 <= u32::MAX as usize, "page-table id overflows the TLB key");
+        Entry { vpn: vpn(addr), key: u64::from(self.epoch) << 32 | pt.0 as u64 }
+    }
+
+    /// Index into `ways` of the front (MRU) way of `vpn`'s set.
+    #[inline]
+    fn set_start(&self, vpn: u64) -> usize {
         let set = match self.mask {
             Some(m) => (vpn as usize) & m,
             None => (vpn as usize) % self.config.sets,
         };
-        set * self.config.ways..(set + 1) * self.config.ways
+        set * self.config.ways
     }
 
-    /// True when the MRU way holds `(pt, vpn)`. A way only ever holds a
-    /// page of its own set, so this is a hit without computing the set.
-    #[inline]
-    fn mru_holds(&self, pt: PageTableId, vpn: u64) -> bool {
-        let e = &self.ways[self.mru];
-        e.vpn == vpn && e.pt == pt
-    }
-
-    /// Index of the way holding `(pt, vpn)`, if resident.
-    fn find(&self, pt: PageTableId, vpn: u64) -> Option<usize> {
-        let set = self.set_of(vpn);
-        let base = set.start;
-        self.ways[set].iter().position(|e| e.vpn == vpn && e.pt == pt).map(|i| base + i)
+    /// Moves `e` to the front of the set starting at `start` if the set
+    /// holds it; returns whether it did.
+    fn promote(&mut self, start: usize, e: Entry) -> bool {
+        let set = &mut self.ways[start..start + self.config.ways];
+        match set.iter().position(|w| *w == e) {
+            Some(i) => {
+                set[..=i].rotate_right(1);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Looks up a translation; fills the entry on miss.
@@ -124,83 +143,76 @@ impl Tlb {
     /// Returns `true` on hit.
     #[inline]
     pub fn access(&mut self, pt: PageTableId, addr: u64) -> bool {
-        self.tick += 1;
-        let vpn = vpn(addr);
-        if self.mru_holds(pt, vpn) {
-            self.ways[self.mru].lru = self.tick;
+        let e = self.entry(pt, addr);
+        let start = self.set_start(e.vpn);
+        if self.ways[start] == e {
             self.stats.hits += 1;
             return true;
         }
-        self.access_set(pt, vpn)
+        self.access_set(start, e)
     }
 
-    /// [`Tlb::access`] past an MRU mismatch: scan the set, fill the LRU
-    /// way on a miss.
+    /// [`Tlb::access`] past a front-way mismatch: scan the set, fill the
+    /// front on a miss.
     #[inline(never)]
-    fn access_set(&mut self, pt: PageTableId, vpn: u64) -> bool {
-        if let Some(i) = self.find(pt, vpn) {
-            self.ways[i].lru = self.tick;
-            self.mru = i;
+    fn access_set(&mut self, start: usize, e: Entry) -> bool {
+        if self.promote(start, e) {
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        // Evict the LRU way (an empty way, if the set has one). Real
-        // stamps are distinct, so the victim is unique.
-        let set = self.set_of(vpn);
-        let base = set.start;
-        let victim = self.ways[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.lru)
-            .map(|(i, _)| base + i)
-            .expect("a set has at least one way");
-        self.ways[victim] = Entry { vpn, pt, lru: self.tick };
-        self.mru = victim;
+        // The last way is the LRU one (or an empty one, if the set has
+        // any): rotate it to the front and overwrite it.
+        let set = &mut self.ways[start..start + self.config.ways];
+        set.rotate_right(1);
+        set[0] = e;
         false
     }
 
     /// Records `n` further hits on the already-resident translation for
     /// `addr` without scanning the set per access. Leaves the TLB in
     /// exactly the state `n` consecutive [`Tlb::access`] calls for the same
-    /// page would: the tick advances by `n`, the entry's LRU stamp moves to
-    /// the final tick, and `n` hits are counted. Used by the cdvm block
-    /// engine to batch the guaranteed same-page fetches inside a block.
+    /// page would: the entry moves to the front of its set and `n` hits are
+    /// counted. Used by the cdvm block engine to batch the guaranteed
+    /// same-page fetches inside a block.
     #[inline]
     pub fn note_hits(&mut self, pt: PageTableId, addr: u64, n: u64) {
         if n == 0 {
             return;
         }
-        self.tick += n;
         self.stats.hits += n;
-        let vpn = vpn(addr);
-        if self.mru_holds(pt, vpn) {
-            self.ways[self.mru].lru = self.tick;
-        } else {
-            self.note_hits_set(pt, vpn);
+        let e = self.entry(pt, addr);
+        let start = self.set_start(e.vpn);
+        if self.ways[start] != e {
+            self.note_hits_set(start, e);
         }
     }
 
-    /// [`Tlb::note_hits`] past an MRU mismatch.
+    /// [`Tlb::note_hits`] past a front-way mismatch.
     #[inline(never)]
-    fn note_hits_set(&mut self, pt: PageTableId, vpn: u64) {
-        if let Some(i) = self.find(pt, vpn) {
-            self.ways[i].lru = self.tick;
-            self.mru = i;
-        }
+    fn note_hits_set(&mut self, start: usize, e: Entry) {
+        self.promote(start, e);
     }
 
     /// Invalidates a single page's translation (TLB shootdown).
     pub fn invalidate(&mut self, pt: PageTableId, addr: u64) {
-        if let Some(i) = self.find(pt, vpn(addr)) {
-            self.ways[i] = EMPTY;
+        let e = self.entry(pt, addr);
+        let start = self.set_start(e.vpn);
+        let set = &mut self.ways[start..start + self.config.ways];
+        if let Some(i) = set.iter().position(|w| *w == e) {
+            // Close the gap and park the empty way behind every live one.
+            set[i..].rotate_left(1);
+            set[set.len() - 1] = EMPTY;
         }
     }
 
     /// Flushes the entire TLB (page-table switch without ASIDs).
     pub fn flush(&mut self) {
-        self.ways.fill(EMPTY);
         self.stats.flushes += 1;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.ways.fill(EMPTY);
+        }
     }
 
     /// Returns the counters.
@@ -210,7 +222,8 @@ impl Tlb {
 
     /// Number of valid entries currently cached.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|e| e.vpn != EMPTY.vpn).count()
+        let live = u64::from(self.epoch);
+        self.ways.iter().filter(|e| e.vpn != EMPTY.vpn && e.key >> 32 == live).count()
     }
 }
 
@@ -286,6 +299,35 @@ mod tests {
         assert!(real.access(PT, 0) && batched.access(PT, 0), "page 0 survives");
         assert!(!real.access(PT, PAGE_SIZE) && !batched.access(PT, PAGE_SIZE), "page 1 evicted");
         assert_eq!(real.stats(), batched.stats());
+    }
+
+    #[test]
+    fn epoch_wrap_clears_the_slots() {
+        let mut tlb = Tlb::default();
+        tlb.access(PT, 0x1000); // filled under epoch 0
+        tlb.epoch = u32::MAX - 1; // as if 2^32 - 2 flushes had passed
+        tlb.access(PT, 0x2000);
+        assert_eq!(tlb.occupancy(), 1, "only the entry of the current epoch is live");
+        tlb.flush(); // epoch u32::MAX: 0x2000 goes stale
+        assert_eq!(tlb.occupancy(), 0);
+        tlb.flush(); // wraps to epoch 0, the epoch 0x1000 was filled under
+        assert_eq!(tlb.occupancy(), 0, "an entry from before the wrap came back to life");
+        assert!(!tlb.access(PT, 0x1000));
+        assert!(tlb.access(PT, 0x1000), "the post-wrap fill is live");
+        assert_eq!(tlb.stats(), TlbStats { hits: 1, misses: 3, flushes: 2 });
+    }
+
+    #[test]
+    fn stale_entries_are_evicted_before_live_ones() {
+        let cfg = TlbConfig { sets: 1, ways: 2 };
+        let mut tlb = Tlb::new(cfg);
+        tlb.access(PT, 0);
+        tlb.access(PT, PAGE_SIZE);
+        tlb.flush();
+        tlb.access(PT, 2 * PAGE_SIZE); // takes one stale way
+        tlb.access(PT, 3 * PAGE_SIZE); // takes the other, not page 2's
+        assert!(tlb.access(PT, 2 * PAGE_SIZE) && tlb.access(PT, 3 * PAGE_SIZE));
+        assert_eq!(tlb.occupancy(), 2);
     }
 
     #[test]

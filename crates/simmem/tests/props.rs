@@ -121,53 +121,71 @@ impl OracleTlb {
     }
 }
 
+/// Runs `ops` on a [`Tlb`] and an [`OracleTlb`] of geometry `config`:
+/// every return value, `stats()` and `occupancy()` must agree after every
+/// operation. An op is `(kind, page table, page, offset, n)`: kinds 0–13
+/// access, 14–16 access and then batch `n` hits on the same page (the
+/// block engine's fetch pattern), 17–18 invalidate, 19 and up flush.
+fn tlb_agrees_with_oracle(config: TlbConfig, ops: &[(u8, usize, u64, u64, u64)]) {
+    let (mut tlb, mut oracle) = (Tlb::new(config), OracleTlb::new(config));
+    for (i, &(kind, pt, page, off, n)) in ops.iter().enumerate() {
+        let (pt, addr) = (PageTableId(pt), page * PAGE_SIZE + off);
+        match kind {
+            0..=16 => {
+                let hit = tlb.access(pt, addr);
+                prop_assert_eq!(hit, oracle.access(pt, addr), "op {}: access {:?}", i, config);
+                if kind >= 14 {
+                    tlb.note_hits(pt, addr, n);
+                    oracle.note_hits(pt, addr, n);
+                }
+            }
+            17 | 18 => {
+                tlb.invalidate(pt, addr);
+                oracle.invalidate(pt, addr);
+            }
+            _ => {
+                tlb.flush();
+                oracle.flush();
+            }
+        }
+        prop_assert_eq!(tlb.stats(), oracle.stats, "op {}: stats {:?}", i, config);
+        let occupancy = (tlb.occupancy(), oracle.occupancy());
+        prop_assert_eq!(occupancy.0, occupancy.1, "op {}: occupancy {:?}", i, config);
+    }
+}
+
 proptest! {
     /// [`Tlb`] against [`OracleTlb`] on random geometries (non-powers of
     /// two included) and random operation sequences over four page tables
-    /// and a few dozen pages: every return value, `stats()` and
-    /// `occupancy()` must agree after every operation. Fails if a set-scan
-    /// hit skips its LRU stamp or the MRU compare ignores the page table
-    /// (checked by mutation). Skipping the stamp on an MRU hit is the one
-    /// unobservable slip: the MRU way always holds the newest stamp, so
-    /// re-stamping it cannot reorder its set.
+    /// and a few dozen pages, one op in twenty a flush. Fails if a
+    /// set-scan hit is not moved to the front of its set or the key drops
+    /// the flush epoch (checked by mutation).
     #[test]
     fn tlb_matches_per_set_list_oracle(
         sets in 1usize..=20,
         ways in 1usize..=8,
-        // `(kind, page table, page, offset, n)`: kinds 0–13 access, 14–16
-        // access and then batch `n` hits on the same page (the block
-        // engine's fetch pattern), 17–18 invalidate, 19 flush.
         ops in prop::collection::vec(
             (0u8..20, 0usize..4, 0u64..40, 0u64..PAGE_SIZE, 1u64..10),
             1..400,
         ),
     ) {
-        let config = TlbConfig { sets, ways };
-        let (mut tlb, mut oracle) = (Tlb::new(config), OracleTlb::new(config));
-        for (i, &(kind, pt, page, off, n)) in ops.iter().enumerate() {
-            let (pt, addr) = (PageTableId(pt), page * PAGE_SIZE + off);
-            match kind {
-                0..=16 => {
-                    let hit = tlb.access(pt, addr);
-                    prop_assert_eq!(hit, oracle.access(pt, addr), "op {}: access {:?}", i, config);
-                    if kind >= 14 {
-                        tlb.note_hits(pt, addr, n);
-                        oracle.note_hits(pt, addr, n);
-                    }
-                }
-                17 | 18 => {
-                    tlb.invalidate(pt, addr);
-                    oracle.invalidate(pt, addr);
-                }
-                _ => {
-                    tlb.flush();
-                    oracle.flush();
-                }
-            }
-            prop_assert_eq!(tlb.stats(), oracle.stats, "op {}: stats {:?}", i, config);
-            let occupancy = (tlb.occupancy(), oracle.occupancy());
-            prop_assert_eq!(occupancy.0, occupancy.1, "op {}: occupancy {:?}", i, config);
-        }
+        tlb_agrees_with_oracle(TlbConfig { sets, ways }, &ops);
+    }
+
+    /// The same comparison with more than a third of the ops flushes, runs
+    /// of back-to-back flushes included: stale entries from many epochs
+    /// share sets with live ones, so the victim order between them is
+    /// exercised, not just the flush itself.
+    #[test]
+    fn tlb_matches_per_set_list_oracle_under_flush_heavy_mixes(
+        sets in 1usize..=6,
+        ways in 1usize..=8,
+        ops in prop::collection::vec(
+            (0u8..30, 0usize..3, 0u64..24, 0u64..PAGE_SIZE, 1u64..10),
+            1..400,
+        ),
+    ) {
+        tlb_agrees_with_oracle(TlbConfig { sets, ways }, &ops);
     }
 
     #[test]
