@@ -442,11 +442,6 @@ pub mod emit {
     use super::*;
     use simkernel::sysno;
 
-    fn sys(a: &mut Asm, n: u64) {
-        a.li(A7, n);
-        a.push(Instr::Ecall);
-    }
-
     fn check_base(base: Reg) {
         assert!(
             ![T0, T1, T2, T3, T4, T5, T6, A0, A1, A7].contains(&base),
@@ -461,7 +456,7 @@ pub mod emit {
         a.label(&format!("{tag}_stall"));
         a.push(Instr::Ld { rd: T0, rs1: base, imm: layout::CTRL_STALL as i32 });
         a.beq(T0, ZERO, go);
-        sys(a, sysno::YIELD);
+        a.syscall(sysno::YIELD);
         a.j(&format!("{tag}_stall"));
         a.label(go);
     }
@@ -514,7 +509,7 @@ pub mod emit {
                 a.j(&l("done"));
             }
             Backpressure::Yield => {
-                sys(a, sysno::YIELD);
+                a.syscall(sysno::YIELD);
                 a.j(&l("retry"));
             }
             Backpressure::Block => {
@@ -529,7 +524,7 @@ pub mod emit {
                 a.bne(T0, ZERO, &l("closed"));
                 a.push(Instr::Addi { rd: A0, rs1: base, imm: layout::CTRL_WAITP as i32 });
                 a.li(A1, 1);
-                sys(a, sysno::FUTEX_WAIT);
+                a.syscall(sysno::FUTEX_WAIT);
                 a.j(&l("retry"));
             }
         }
@@ -546,7 +541,7 @@ pub mod emit {
             a.beq(T6, T4, &l("claimed"));
             a.push(Instr::Ld { rd: T0, rs1: base, imm: layout::CTRL_CLOSED as i32 });
             a.bne(T0, ZERO, &l("closed"));
-            sys(a, sysno::YIELD);
+            a.syscall(sysno::YIELD);
             a.j(&l("seqwait"));
             a.label(&l("claimed"));
             slot_ptr(a, base, cfg, T4);
@@ -579,7 +574,7 @@ pub mod emit {
         a.push(Instr::St { rs1: base, rs2: ZERO, imm: layout::CTRL_DOORBELL as i32 });
         a.push(Instr::Addi { rd: A0, rs1: base, imm: layout::CTRL_DOORBELL as i32 });
         a.li(A1, 1);
-        sys(a, sysno::FUTEX_WAKE);
+        a.syscall(sysno::FUTEX_WAKE);
         a.label(&done);
     }
 
@@ -615,7 +610,7 @@ pub mod emit {
         a.bne(T0, ZERO, &l("closed"));
         a.push(Instr::Addi { rd: A0, rs1: base, imm: layout::CTRL_DOORBELL as i32 });
         a.li(A1, 1);
-        sys(a, sysno::FUTEX_WAIT); // EAGAIN/EINTR both mean "re-check"
+        a.syscall(sysno::FUTEX_WAIT); // EAGAIN/EINTR both mean "re-check"
         a.j(&l("loop"));
         a.label(&l("closed"));
         a.li(A0, 0);
@@ -666,7 +661,7 @@ pub mod emit {
             a.push(Instr::St { rs1: base, rs2: ZERO, imm: layout::CTRL_WAITP as i32 });
             a.push(Instr::Addi { rd: A0, rs1: base, imm: layout::CTRL_WAITP as i32 });
             a.li(A1, 64);
-            sys(a, sysno::FUTEX_WAKE);
+            a.syscall(sysno::FUTEX_WAKE);
             a.label(&l("nowake"));
         }
         a.li(A0, 1);
@@ -674,33 +669,6 @@ pub mod emit {
         a.label(&l("empty"));
         a.li(A0, 0);
         a.label(&l("done"));
-    }
-
-    /// Emits ring initialization (zero control words, recycle every SEQ
-    /// slot for cursor 0). Clobbers `t0`, `t1`, `t2`. Host-side minting
-    /// uses [`Ring::init`] instead; this is for self-contained guests.
-    pub fn emit_init(a: &mut Asm, tag: &str, base: Reg, cfg: &RingCfg) {
-        check_base(base);
-        for off in [
-            layout::CTRL_TAIL,
-            layout::CTRL_HEAD,
-            layout::CTRL_DOORBELL,
-            layout::CTRL_WAITP,
-            layout::CTRL_CLOSED,
-            layout::CTRL_STALL,
-        ] {
-            a.push(Instr::St { rs1: base, rs2: ZERO, imm: off as i32 });
-        }
-        // for i in 0..cap { SEQ[i] = i }
-        let loop_l = format!("{tag}_init_seq");
-        a.li(T0, 0);
-        a.li(T1, cfg.cap);
-        a.label(&loop_l);
-        a.push(Instr::Slli { rd: T2, rs1: T0, imm: 3 });
-        a.push(Instr::Add { rd: T2, rs1: T2, rs2: base });
-        a.push(Instr::St { rs1: T2, rs2: T0, imm: layout::CTRL_SEQ as i32 });
-        a.push(Instr::Addi { rd: T0, rs1: T0, imm: 1 });
-        a.bne(T0, T1, &loop_l);
     }
 }
 

@@ -5,12 +5,6 @@ use cdvm::isa::Reg;
 use cdvm::{Asm, Instr};
 use simkernel::sysno;
 
-/// Emits `li a7, n; ecall` (clobbers a7).
-pub fn sys(a: &mut Asm, n: u64) {
-    a.li(A7, n);
-    a.push(Instr::Ecall);
-}
-
 /// Increments the u64 at `0(addr_reg)` (clobbers t0).
 pub fn bump(a: &mut Asm, addr_reg: Reg) {
     a.push(Instr::Ld { rd: T0, rs1: addr_reg, imm: 0 });
@@ -25,7 +19,7 @@ pub fn sem_post(a: &mut Asm, addr_reg: Reg) {
     a.push(Instr::St { rs1: addr_reg, rs2: T0, imm: 0 });
     a.push(Instr::Add { rd: A0, rs1: addr_reg, rs2: ZERO });
     a.li(A1, 1);
-    sys(a, sysno::FUTEX_WAKE);
+    a.syscall(sysno::FUTEX_WAKE);
 }
 
 /// POSIX-style semaphore wait on the futex word at `0(addr_reg)`: spin
@@ -39,7 +33,7 @@ pub fn sem_wait(a: &mut Asm, addr_reg: Reg, prefix: &str) {
     a.bne(T0, ZERO, &lg);
     a.push(Instr::Add { rd: A0, rs1: addr_reg, rs2: ZERO });
     a.li(A1, 0);
-    sys(a, sysno::FUTEX_WAIT);
+    a.syscall(sysno::FUTEX_WAIT);
     a.j(&lw);
     a.label(&lg);
     a.push(Instr::St { rs1: addr_reg, rs2: ZERO, imm: 0 });
@@ -57,7 +51,7 @@ pub fn read_exact(a: &mut Asm, fd_reg: Reg, buf_reg: Reg, len_reg: Reg, prefix: 
     a.push(Instr::Add { rd: A0, rs1: fd_reg, rs2: ZERO });
     a.push(Instr::Add { rd: A1, rs1: buf_reg, rs2: T1 });
     a.push(Instr::Sub { rd: A2, rs1: len_reg, rs2: T1 });
-    sys(a, sysno::READ);
+    a.syscall(sysno::READ);
     a.push(Instr::Add { rd: T1, rs1: T1, rs2: A0 });
     a.j(&lp);
     a.label(&done);
@@ -75,7 +69,7 @@ pub fn write_all(a: &mut Asm, fd_reg: Reg, buf_reg: Reg, len_reg: Reg, prefix: &
     a.push(Instr::Add { rd: A0, rs1: fd_reg, rs2: ZERO });
     a.push(Instr::Add { rd: A1, rs1: buf_reg, rs2: T1 });
     a.push(Instr::Sub { rd: A2, rs1: len_reg, rs2: T1 });
-    sys(a, sysno::WRITE);
+    a.syscall(sysno::WRITE);
     a.push(Instr::Add { rd: T1, rs1: T1, rs2: A0 });
     a.j(&lp);
     a.label(&done);

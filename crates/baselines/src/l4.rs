@@ -9,7 +9,7 @@ use cdvm::{Asm, Instr};
 use dipc::System;
 use simkernel::{sysno, KernelConfig};
 
-use crate::asmlib::{bump, sys};
+use crate::asmlib::bump;
 use crate::util::{run_marked, BenchResult, Placement};
 
 /// Runs the L4-style call/reply ping-pong (register payload only).
@@ -24,7 +24,7 @@ pub fn bench_l4(iters: u64, placement: Placement) -> BenchResult {
     let mut a = Asm::new();
     a.li(A0, 0);
     a.label("loop");
-    sys(&mut a, sysno::L4_REPLY_WAIT);
+    a.syscall(sysno::L4_REPLY_WAIT);
     a.push(Instr::Add { rd: T2, rs1: A0, rs2: ZERO }); // caller tid
     a.push(Instr::Addi { rd: A1, rs1: A1, imm: 1 });
     a.push(Instr::Add { rd: A0, rs1: T2, rs2: ZERO });
@@ -40,7 +40,7 @@ pub fn bench_l4(iters: u64, placement: Placement) -> BenchResult {
     a.label("loop");
     a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
     a.li(A1, 7); // one-register payload ("one-byte argument")
-    sys(&mut a, sysno::L4_CALL);
+    a.syscall(sysno::L4_CALL);
     bump(&mut a, S4);
     a.j("loop");
     let client_prog = a.finish();

@@ -11,7 +11,6 @@ use dipc::System;
 use simkernel::{sysno, KernelConfig, TimeBreakdown};
 use simmem::PageFlags;
 
-use crate::asmlib::sys;
 use crate::util::BenchResult;
 
 fn run_cycle_bench(build: impl Fn(&mut Asm), iters: u64, data_bytes: u64) -> BenchResult {
@@ -82,10 +81,10 @@ pub fn bench_syscall(iters: u64) -> BenchResult {
     run_cycle_bench(
         move |a| {
             a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
-            sys(a, sysno::GETPID);
+            a.syscall(sysno::GETPID);
             a.push(Instr::Rdcycle { rd: S4 });
             a.label("loop");
-            sys(a, sysno::GETPID);
+            a.syscall(sysno::GETPID);
             a.push(Instr::Addi { rd: S0, rs1: S0, imm: -1 });
             a.bne(S0, ZERO, "loop");
             a.push(Instr::Rdcycle { rd: A0 });

@@ -43,13 +43,6 @@ pub struct BenchResult {
     pub iters: u64,
 }
 
-impl BenchResult {
-    /// Ratio to the sub-2ns function call, as the paper reports ("NNN×").
-    pub fn times_function_call(&self, func_ns: f64) -> f64 {
-        self.per_op_ns / func_ns
-    }
-}
-
 /// Runs `sys` until the u64 at `(pt, counter)` reaches `warmup`, snapshots,
 /// then until it reaches `warmup + iters`, and reports the delta.
 pub fn run_marked(

@@ -22,6 +22,7 @@
 use cdvm::isa::reg::*;
 use cdvm::Instr;
 use dipc::{AppSpec, IsoProps, Signature, World, DIPC_ERR_FAULT};
+use oltp::async_stack::percentile;
 use oltp::{OltpParams, StorageKind};
 use simfault::{FaultPlan, Site, Trigger};
 use simkernel::KernelConfig;
@@ -34,14 +35,6 @@ struct MicroStats {
     err_latencies: Vec<u64>,
     caller_alive: bool,
     injections: u64,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 /// Builds and runs the micro scenario: `cli` loops calling `srv`'s `echo`

@@ -128,6 +128,13 @@ impl Asm {
         self
     }
 
+    /// Emits `li a7, nr; ecall`: system call `nr`, arguments already in
+    /// `a0`–`a5` (clobbers `a7`).
+    pub fn syscall(&mut self, nr: u64) -> &mut Self {
+        self.li(crate::isa::reg::A7, nr);
+        self.push(Instr::Ecall)
+    }
+
     /// Loads the (unknown) address of `symbol` into `rd`, emitting a
     /// patchable `Movi`+`Movhi` pair and recording a relocation.
     pub fn li_sym(&mut self, rd: Reg, symbol: &str) -> &mut Self {

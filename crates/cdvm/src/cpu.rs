@@ -23,7 +23,7 @@ use crate::blocks::{BlockCache, BlockEnd, BlockStats, CrossDesc, CrossGrant, Cro
 use crate::cost::CostModel;
 use crate::dcache::{DCache, DGrant};
 use crate::isa::{reg, Instr, INSTR_BYTES};
-use crate::stats::{ExecStats, HostCacheStats};
+use crate::stats::HostCacheStats;
 
 /// A synchronous fault raised by the VM.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,8 +126,6 @@ pub struct Cpu {
     pub checker: Checker,
     /// Total retired instructions (statistics).
     pub retired: u64,
-    /// Per-class retirement statistics.
-    pub exec_stats: ExecStats,
     /// Number of CODOMs domain crossings taken (fetches that switched the
     /// current domain) — the quantity behind the paper's "calls per
     /// operation" accounting in §7.5.
@@ -136,8 +134,9 @@ pub struct Cpu {
     cur_page_flags: PageFlags,
     /// Cached `simtrace::enabled()`, sampled at construction and refreshed
     /// at every [`Cpu::run`], so the untraced hot loop performs no atomic
-    /// check per instruction. Gates per-step trace events *and*
-    /// [`ExecStats`] recording.
+    /// check per instruction. Gates the trace events of crossings, bulk
+    /// copies and capability-stack operations, and the `host.*` export;
+    /// both engines execute exactly the same way with it on or off.
     instrument: bool,
     /// Cached `simfault::armed()`, refreshed alongside `instrument`. Gates
     /// the capability-revocation injection site so the untraced, unfaulted
@@ -236,7 +235,6 @@ impl Cpu {
             thread: 0,
             checker: Checker::default(),
             retired: 0,
-            exec_stats: ExecStats::new(),
             domain_crossings: 0,
             cur_page_flags: PageFlags::empty(),
             instrument: simtrace::enabled(),
@@ -552,7 +550,7 @@ impl Cpu {
     /// one real iTLB access (with its miss charge) and the CODOMs
     /// crossing check against the entry page — then executes the block
     /// body. All bookkeeping (crossing counters, trace events, fault
-    /// injection, `ExecStats`, x0 hard-wiring) matches [`Cpu::step`]
+    /// injection, x0 hard-wiring) matches [`Cpu::step`]
     /// exactly; the batched iTLB hits for the non-entry fetches are
     /// settled through [`simmem::Tlb::note_hits`] on every exit path.
     ///
@@ -665,26 +663,24 @@ impl Cpu {
         // `self`, so no handle clone is needed).
         let block = bcache.block_at(slot);
 
+        // The handlers keep x0 zeroed; zero it once up front so they
+        // start from the same state the general loop maintains.
+        self.regs[0] = 0;
         let mut start = from;
-        if !self.instrument {
-            // The handlers keep x0 zeroed; zero it once up front so they
-            // start from the same state the general loop maintains.
-            self.regs[0] = 0;
-            if budget.is_none() && block.pure_len > from {
-                // Direct-threaded dispatch of the pure prefix: every
-                // instruction in it provably retires with no event, no
-                // memory access and no privilege check (see
-                // [`crate::threaded`]), so the general loop's plumbing is
-                // dead weight. (A budgeted run needs that loop's deadline
-                // check; it dispatches the same handlers one by one.)
-                for bi in &block.instrs[from..block.pure_len] {
-                    crate::threaded::HANDLERS[bi.handler as usize](self, bi, cost);
-                }
-                let n = (block.pure_len - from) as u64;
-                self.retired += n;
-                *retired += n;
-                start = block.pure_len;
+        if budget.is_none() && block.pure_len > from {
+            // Direct-threaded dispatch of the pure prefix: every
+            // instruction in it provably retires with no event, no
+            // memory access and no privilege check (see
+            // [`crate::threaded`]), so the general loop's plumbing is
+            // dead weight. (A budgeted run needs that loop's deadline
+            // check; it dispatches the same handlers one by one.)
+            for bi in &block.instrs[from..block.pure_len] {
+                crate::threaded::HANDLERS[bi.handler as usize](self, bi, cost);
             }
+            let n = (block.pure_len - from) as u64;
+            self.retired += n;
+            *retired += n;
+            start = block.pure_len;
         }
 
         // Every exit settles the guaranteed iTLB hits of the fetches after
@@ -705,9 +701,9 @@ impl Cpu {
             // the prefix loop above could not reach them) still carry
             // their handler index: dispatch them through the same table
             // and skip the full `execute()` match. They provably retire
-            // with no event, no memory write and no instrumentation to
-            // record, so the rest of this iteration's plumbing is dead.
-            if !self.instrument && bi.handler != 0 {
+            // with no event, no memory write and no trace event, so the
+            // rest of this iteration's plumbing is dead.
+            if bi.handler != 0 {
                 crate::threaded::HANDLERS[bi.handler as usize](self, bi, cost);
                 self.retired += 1;
                 *retired += 1;
@@ -750,9 +746,6 @@ impl Cpu {
                 StepEvent::Retired => {
                     self.retired += 1;
                     *retired += 1;
-                    if self.instrument {
-                        self.exec_stats.record(&bi.instr);
-                    }
                     self.regs[0] = 0;
                     if bi.may_write && mem.code_epoch() != block.code_epoch {
                         // Self-modifying write: the rest of the block may
@@ -766,9 +759,6 @@ impl Cpu {
                     // Counts toward `self.retired` but, like the interpreter
                     // loop, not toward the run's retired total.
                     self.retired += 1;
-                    if self.instrument {
-                        self.exec_stats.record(&bi.instr);
-                    }
                     self.regs[0] = 0;
                     self.itlb.note_hits(block.pt, block.entry, (k - from) as u64);
                     return BlockOutcome::Event(ev);
@@ -939,9 +929,6 @@ impl Cpu {
         let ev = self.execute(instr, mem, rev, cost);
         if matches!(ev, StepEvent::Retired | StepEvent::Ecall | StepEvent::Halt) {
             self.retired += 1;
-            if self.instrument {
-                self.exec_stats.record(&instr);
-            }
             self.regs[0] = 0;
         }
         ev

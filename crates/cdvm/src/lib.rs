@@ -31,6 +31,11 @@
 //!   instruction.
 //! * [`dcache`] — the per-CPU memory-operand translation cache: repeated
 //!   same-page loads/stores skip the full page walk and CODOMs data check.
+//! * [`stats`] — [`HostCacheStats`], the fast engine's host-cache
+//!   counters (host telemetry only; always zero on the reference engine).
+//!
+//! Tracing (`simtrace`) only observes: a traced run executes the same
+//! engine, block for block and handler for handler, as an untraced one.
 
 pub mod asm;
 pub mod blocks;
@@ -47,4 +52,4 @@ pub use blocks::{BlockCache, BlockStats};
 pub use cost::{CostModel, MachineConfig};
 pub use cpu::{Cpu, Fault, FaultKind, RunExit, StepEvent};
 pub use isa::{reg, CapReg, Instr, Reg, INSTR_BYTES};
-pub use stats::{ExecStats, HostCacheStats, InstrClass, TraceRing};
+pub use stats::HostCacheStats;

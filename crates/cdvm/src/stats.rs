@@ -1,98 +1,8 @@
-//! Execution statistics and a ring-buffer instruction trace.
+//! Host-side telemetry of the fast engine.
 //!
-//! [`ExecStats`] classifies retired instructions (useful for the §7.5-style
-//! analyses: how many memory accesses, capability operations and
-//! domain-crossing events a workload performs), and [`TraceRing`] keeps the
-//! last N executed instructions for post-mortem debugging of generated
-//! code (proxies, stubs) without the cost of full logging.
-
-use std::collections::VecDeque;
-
-use crate::disasm::disasm_one;
-use crate::isa::Instr;
-
-/// Coarse instruction classes for statistics.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InstrClass {
-    /// ALU / moves / branches.
-    Alu,
-    /// Loads and stores (including byte variants).
-    Mem,
-    /// Bulk copy/fill.
-    Bulk,
-    /// Calls, returns, jumps.
-    Control,
-    /// Capability and DCS operations.
-    Cap,
-    /// System interaction (ecall, privileged ops, work, halt).
-    System,
-}
-
-impl InstrClass {
-    /// Classifies an instruction.
-    pub fn of(i: &Instr) -> InstrClass {
-        use Instr::*;
-        match i {
-            Ld { .. } | St { .. } | Ldb { .. } | Stb { .. } => InstrClass::Mem,
-            MemCpy { .. } | MemSet { .. } => InstrClass::Bulk,
-            Jal { .. } | Jalr { .. } | Beq { .. } | Bne { .. } | Bltu { .. } | Bgeu { .. } => {
-                InstrClass::Control
-            }
-            CapAplTake { .. }
-            | CapSetBounds { .. }
-            | CapSetPerm { .. }
-            | CapPush { .. }
-            | CapPop { .. }
-            | CapLd { .. }
-            | CapSt { .. }
-            | CapClear { .. }
-            | CapMov { .. }
-            | CapRevoke
-            | DcsGetBase { .. }
-            | DcsSetBase { .. }
-            | DcsGetTop { .. }
-            | DcsSetTop { .. }
-            | DcsSetWindow { .. }
-            | DcsGetStart { .. }
-            | DcsGetLimit { .. } => InstrClass::Cap,
-            Ecall
-            | Halt
-            | Work { .. }
-            | Crash
-            | Swapgs
-            | Rdgs { .. }
-            | Wrgs { .. }
-            | Wrfsbase { .. }
-            | PtSwitch { .. }
-            | Sysret { .. }
-            | TagLookup { .. }
-            | Rdcycle { .. }
-            | CpuId { .. } => InstrClass::System,
-            _ => InstrClass::Alu,
-        }
-    }
-
-    /// All classes, for iteration.
-    pub const ALL: [InstrClass; 6] = [
-        InstrClass::Alu,
-        InstrClass::Mem,
-        InstrClass::Bulk,
-        InstrClass::Control,
-        InstrClass::Cap,
-        InstrClass::System,
-    ];
-
-    fn idx(self) -> usize {
-        match self {
-            InstrClass::Alu => 0,
-            InstrClass::Mem => 1,
-            InstrClass::Bulk => 2,
-            InstrClass::Control => 3,
-            InstrClass::Cap => 4,
-            InstrClass::System => 5,
-        }
-    }
-}
+//! [`HostCacheStats`] counts what the engine's host caches did; it never
+//! influences simulated behaviour. Simulated quantities (retired
+//! instructions, domain crossings, cycles) live on [`crate::Cpu`] itself.
 
 /// Host-side cache counters of the fast engine: the superblock cache with
 /// its crossing descriptors ([`crate::blocks`]) and the data-operand cache
@@ -204,124 +114,5 @@ impl HostCacheStats {
         } else {
             self.dcache_hits as f64 / total as f64
         }
-    }
-}
-
-/// Per-class retirement counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    counts: [u64; 6],
-}
-
-impl ExecStats {
-    /// Empty stats.
-    pub fn new() -> ExecStats {
-        ExecStats::default()
-    }
-
-    /// Records one retired instruction.
-    #[inline]
-    pub fn record(&mut self, i: &Instr) {
-        self.counts[InstrClass::of(i).idx()] += 1;
-    }
-
-    /// Count for a class.
-    pub fn get(&self, c: InstrClass) -> u64 {
-        self.counts[c.idx()]
-    }
-
-    /// Total retired.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Fraction of retired instructions in `c`.
-    pub fn fraction(&self, c: InstrClass) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.get(c) as f64 / t as f64
-        }
-    }
-}
-
-/// A fixed-capacity ring of the most recent `(pc, instr)` pairs.
-pub struct TraceRing {
-    cap: usize,
-    ring: VecDeque<(u64, Instr)>,
-}
-
-impl TraceRing {
-    /// Creates a ring keeping the last `cap` instructions.
-    pub fn new(cap: usize) -> TraceRing {
-        TraceRing { cap: cap.max(1), ring: VecDeque::with_capacity(cap.max(1)) }
-    }
-
-    /// Records an executed instruction.
-    #[inline]
-    pub fn record(&mut self, pc: u64, i: Instr) {
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-        }
-        self.ring.push_back((pc, i));
-    }
-
-    /// Formats the trace, oldest first.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for (pc, i) in &self.ring {
-            out.push_str(&format!("{pc:#012x}: {}\n", disasm_one(i)));
-        }
-        out
-    }
-
-    /// Number of recorded entries.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classification_covers_key_cases() {
-        assert_eq!(InstrClass::of(&Instr::Add { rd: 1, rs1: 2, rs2: 3 }), InstrClass::Alu);
-        assert_eq!(InstrClass::of(&Instr::Ld { rd: 1, rs1: 2, imm: 0 }), InstrClass::Mem);
-        assert_eq!(InstrClass::of(&Instr::MemCpy { rd: 1, rs1: 2, rs2: 3 }), InstrClass::Bulk);
-        assert_eq!(InstrClass::of(&Instr::Jal { rd: 1, imm: 8 }), InstrClass::Control);
-        assert_eq!(InstrClass::of(&Instr::CapPush { crs: 0 }), InstrClass::Cap);
-        assert_eq!(InstrClass::of(&Instr::Ecall), InstrClass::System);
-        assert_eq!(InstrClass::of(&Instr::TagLookup { rd: 1, rs1: 2 }), InstrClass::System);
-    }
-
-    #[test]
-    fn stats_accumulate_and_fraction() {
-        let mut s = ExecStats::new();
-        s.record(&Instr::Nop);
-        s.record(&Instr::Nop);
-        s.record(&Instr::Ld { rd: 1, rs1: 2, imm: 0 });
-        assert_eq!(s.total(), 3);
-        assert_eq!(s.get(InstrClass::Alu), 2);
-        assert!((s.fraction(InstrClass::Mem) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trace_ring_keeps_last_n() {
-        let mut t = TraceRing::new(3);
-        for i in 0..10u64 {
-            t.record(i * 8, Instr::Movi { rd: 1, imm: i as i32 });
-        }
-        assert_eq!(t.len(), 3);
-        let dump = t.dump();
-        assert!(dump.contains("movi x1, 9"));
-        assert!(!dump.contains("movi x1, 5"));
     }
 }

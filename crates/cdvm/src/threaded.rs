@@ -21,12 +21,11 @@
 //! register unconditionally and re-zero `regs[0]`, replicating the
 //! general loop's x0 hard-wiring without a branch.
 //!
-//! The dispatch is only taken while instrumentation is off (per-class
-//! [`crate::stats::ExecStats`] recording is the one observable the tight
-//! loop skips); instrumented runs and the reference engine go through
-//! `execute()`, which keeps its own arm for every op precisely so that it
-//! stays the specification these handlers are tested against. Simulated
-//! cycles, registers and PC are bit-identical either way — asserted
+//! Pure instructions emit no trace event, so the dispatch is taken with
+//! tracing on or off. The reference engine goes through `execute()`,
+//! which keeps its own arm for every op precisely so that it stays the
+//! specification these handlers are tested against. Simulated cycles,
+//! registers and PC are bit-identical either way — asserted
 //! instruction-by-instruction against `execute()` by the unit test below.
 
 use crate::blocks::BlockInstr;

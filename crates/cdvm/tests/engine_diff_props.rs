@@ -11,6 +11,12 @@
 //! registers, retired count, domain, crossings, iTLB/dTLB/APL-cache
 //! counters.
 //!
+//! Each case also runs on both engines with `simtrace` enabled on the test
+//! thread (the collector is thread-local): tracing only observes, so the
+//! traced slices must equal the untraced reference slice for slice, and
+//! the traced fast run must leave exactly the events, Chrome trace and
+//! simulated counters of the traced reference run.
+//!
 //! This is the coverage that replaced the intermediate cells of the old
 //! engine matrix. It fails when the code-epoch compare of
 //! `BlockCache::valid`, the `apl_version` compare on `CrossDesc`, or the
@@ -311,26 +317,75 @@ fn run(case: &Case, caller: &[u8], callee: &[u8], fast: bool) -> Vec<Snap> {
     })
 }
 
-/// `Ok` carries the domain crossings the case took and how many callee
-/// stores were denied (domain 2's write grant flipped off); `Err` names
+/// The counters `cdvm` feeds while tracing, other than the `host.*` cache
+/// telemetry only the fast engine has.
+const SIM_COUNTERS: [&str; 5] =
+    ["apl_hit", "domain_crossings", "bytes_copied_user", "kcs_pushes", "kcs_pops"];
+
+/// What a traced run leaves in the collector.
+#[derive(Debug, PartialEq)]
+struct TraceOut {
+    events: usize,
+    counters: [u64; SIM_COUNTERS.len()],
+    chrome: String,
+}
+
+/// [`run`] with tracing enabled. The callee page is registered as a proxy
+/// entry range, so every crossing into it opens a span stamped with the
+/// crossing's cycle.
+fn run_traced(case: &Case, caller: &[u8], callee: &[u8], fast: bool) -> (Vec<Snap>, TraceOut) {
+    simtrace::enable("engine_diff_props.json");
+    simtrace::register_proxy("callee", (FAR, FAR + PAGE_SIZE), (0, 0));
+    let snaps = run(case, caller, callee, fast);
+    let out = TraceOut {
+        events: simtrace::event_count(),
+        counters: SIM_COUNTERS.map(simtrace::counter_value),
+        chrome: simtrace::render().0,
+    };
+    simtrace::disable();
+    (snaps, out)
+}
+
+/// `Ok` carries the domain crossings the case took, how many callee
+/// stores were denied (domain 2's write grant flipped off) and how many
+/// trace events the traced runs recorded; `Err` names
 /// the first slice on which the engines disagree (or the panic either died
 /// with).
-fn check(case: &Case) -> Result<(u64, usize), String> {
+fn check(case: &Case) -> Result<(u64, usize, usize), String> {
     let (caller, callee) = programs(case);
-    let both = std::panic::catch_unwind(|| {
-        (run(case, &caller, &callee, false), run(case, &caller, &callee, true))
+    let all = std::panic::catch_unwind(|| {
+        (
+            run(case, &caller, &callee, false),
+            run(case, &caller, &callee, true),
+            run_traced(case, &caller, &callee, false),
+            run_traced(case, &caller, &callee, true),
+        )
     });
-    let (reference, fast) = both.map_err(|p| {
-        let msg = p.downcast_ref::<String>().map(String::as_str);
-        format!("panicked: {}", msg.or(p.downcast_ref::<&str>().copied()).unwrap_or("?"))
-    })?;
-    for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
-        if f != r {
-            return Err(format!("slice {i}:\n fast      {f:?}\n reference {r:?}"));
+    // A panic inside a traced run leaves the thread's tracer armed.
+    simtrace::disable();
+    let (reference, fast, (traced_ref, ref_trace), (traced_fast, fast_trace)) =
+        all.map_err(|p| {
+            let msg = p.downcast_ref::<String>().map(String::as_str);
+            format!("panicked: {}", msg.or(p.downcast_ref::<&str>().copied()).unwrap_or("?"))
+        })?;
+    for (name, snaps) in
+        [("fast", &fast), ("traced reference", &traced_ref), ("traced fast", &traced_fast)]
+    {
+        for (i, (f, r)) in snaps.iter().zip(&reference).enumerate() {
+            if f != r {
+                return Err(format!("slice {i}:\n {name} {f:?}\n reference {r:?}"));
+            }
+        }
+        if snaps.len() != reference.len() {
+            return Err(format!(
+                "{} slices on {name}, {} on reference",
+                snaps.len(),
+                reference.len()
+            ));
         }
     }
-    if fast.len() != reference.len() {
-        return Err(format!("{} slices on fast, {} on reference", fast.len(), reference.len()));
+    if fast_trace != ref_trace {
+        return Err(format!("traces differ:\n fast      {fast_trace:?}\n reference {ref_trace:?}"));
     }
     // A denied callee store: the second instruction of an entry.
     let denied_store =
@@ -339,7 +394,7 @@ fn check(case: &Case) -> Result<(u64, usize), String> {
         .iter()
         .filter(|s| matches!(s.exit.event, StepEvent::Fault(f) if denied_store(&f)))
         .count();
-    Ok((fast.last().expect("ran").crossings, denied))
+    Ok((fast.last().expect("ran").crossings, denied, ref_trace.events))
 }
 
 /// Greedy shrink: keeps any single simplification under which the engines
@@ -380,13 +435,14 @@ fn shrink(mut case: Case) -> Case {
 fn random_programs_agree_slice_for_slice_on_both_engines() {
     let strategy = arb_case();
     let mut rng = TestRng::deterministic();
-    let (mut crossings, mut denials, mut patches) = (0u64, 0usize, 0usize);
+    let (mut crossings, mut denials, mut events, mut patches) = (0u64, 0usize, 0usize, 0usize);
     for n in 0..CASES {
         let case = strategy.generate(&mut rng);
         match check(&case) {
-            Ok((c, d)) => {
+            Ok((c, d, e)) => {
                 crossings += c;
                 denials += d;
+                events += e;
             }
             Err(_) => {
                 // Quiet the panics the shrinker's probes may raise.
@@ -402,5 +458,6 @@ fn random_programs_agree_slice_for_slice_on_both_engines() {
     // The generator must actually reach what the test is for.
     assert!(crossings > 1_000, "only {crossings} domain crossings over all cases");
     assert!(denials > 20, "only {denials} denied callee stores over all cases");
+    assert!(events > 500, "only {events} trace events over all cases");
     assert!(patches > 50, "only {patches} self-patching stores over all cases");
 }

@@ -1,4 +1,4 @@
-//! Typed asynchronous channels: capability-protected call rings minted
+//! Asynchronous channels: capability-protected call rings minted
 //! through the same grant machinery that gates proxy entry points.
 //!
 //! A channel is a pair of [`aring`] rings living in a dedicated CODOMs
@@ -14,129 +14,20 @@
 //! that authorize its proxy calls: no grant, no access, and revoking the
 //! grant cuts the channel off.
 //!
-//! The codec boundary is pluggable per channel: [`InPlace`] passes records
-//! through untouched (zero overhead), [`Validated`] bounds-checks every
-//! record field on both the host paths and — via [`Codec::emit_guard`] —
-//! in emitted consumer code.
+//! Records are raw `[u64; 4]` words: guest producers and consumers use the
+//! [`aring::emit`] emitters, and nothing encodes or validates in between.
 //!
 //! Teardown: [`System::kill_process`] poisons every channel the dead
 //! process touches *before* its pages are unmapped — CLOSED is raised,
 //! doorbell and WAITP sleepers are woken host-side, and pending enqueues
 //! fail with `DIPC_ERR_FAULT` instead of leaking ring slots.
 
-use std::marker::PhantomData;
-
 use aring::{layout, GuestRing, Ring, RingCfg};
-use cdvm::isa::reg::*;
-use cdvm::isa::Reg;
-use cdvm::{Asm, Instr};
 use simkernel::Pid;
 use simmem::{PageFlags, PageTableId};
 
 use crate::api::{DipcError, Handle, HandlePerm};
 use crate::system::System;
-
-/// A request or reply type that round-trips through one fixed-size ring
-/// record.
-pub trait Wire: Sized {
-    /// Serializes into the four record words.
-    fn to_rec(&self) -> [u64; layout::REC_WORDS];
-    /// Deserializes from the four record words.
-    fn from_rec(rec: &[u64; layout::REC_WORDS]) -> Self;
-}
-
-impl Wire for [u64; layout::REC_WORDS] {
-    fn to_rec(&self) -> [u64; layout::REC_WORDS] {
-        *self
-    }
-    fn from_rec(rec: &[u64; layout::REC_WORDS]) -> Self {
-        *rec
-    }
-}
-
-/// The codec boundary: what happens to a record as it crosses the ring.
-pub trait Codec {
-    /// Host-side encode hook (producer → ring).
-    fn encode(&self, rec: [u64; layout::REC_WORDS]) -> Result<[u64; layout::REC_WORDS], DipcError>;
-    /// Host-side decode hook (ring → consumer).
-    fn decode(&self, rec: [u64; layout::REC_WORDS]) -> Result<[u64; layout::REC_WORDS], DipcError>;
-    /// Emits the guest-side decode guard. Intended inside a dequeue
-    /// `read_rec` closure: `slot` points at the record; the verdict lands
-    /// in `t2` (0 = valid, 1 = reject). Clobbers `t0`, `t6`; `tag` must be
-    /// unique per expansion.
-    fn emit_guard(&self, a: &mut Asm, tag: &str, slot: Reg);
-}
-
-/// Zero-overhead default: records pass through in place, the guard emits
-/// a single `t2 = 0`.
-pub struct InPlace;
-
-impl Codec for InPlace {
-    fn encode(&self, rec: [u64; layout::REC_WORDS]) -> Result<[u64; layout::REC_WORDS], DipcError> {
-        Ok(rec)
-    }
-    fn decode(&self, rec: [u64; layout::REC_WORDS]) -> Result<[u64; layout::REC_WORDS], DipcError> {
-        Ok(rec)
-    }
-    fn emit_guard(&self, a: &mut Asm, _tag: &str, _slot: Reg) {
-        a.li(T2, 0);
-    }
-}
-
-/// Opt-in validated envelope: every record field must fall inside its
-/// inclusive `[min, max]` bound. Violations surface as
-/// [`DipcError::Signature`] on the host paths and as `t2 = 1` in guest
-/// code (the record is still consumed — the slot must recycle — but the
-/// consumer drops it).
-pub struct Validated {
-    /// Inclusive per-field bounds.
-    pub bounds: [(u64, u64); layout::REC_WORDS],
-}
-
-impl Validated {
-    fn check(&self, rec: &[u64; layout::REC_WORDS]) -> Result<(), DipcError> {
-        for (w, (lo, hi)) in rec.iter().zip(self.bounds.iter()) {
-            if w < lo || w > hi {
-                return Err(DipcError::Signature);
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Codec for Validated {
-    fn encode(&self, rec: [u64; layout::REC_WORDS]) -> Result<[u64; layout::REC_WORDS], DipcError> {
-        self.check(&rec)?;
-        Ok(rec)
-    }
-    fn decode(&self, rec: [u64; layout::REC_WORDS]) -> Result<[u64; layout::REC_WORDS], DipcError> {
-        self.check(&rec)?;
-        Ok(rec)
-    }
-    fn emit_guard(&self, a: &mut Asm, tag: &str, slot: Reg) {
-        let bad = format!("{tag}_guard_bad");
-        let ok = format!("{tag}_guard_ok");
-        a.li(T2, 0);
-        for (i, (lo, hi)) in self.bounds.iter().enumerate() {
-            if *lo == 0 && *hi == u64::MAX {
-                continue;
-            }
-            a.push(Instr::Ld { rd: T6, rs1: slot, imm: (i as i32) * 8 });
-            if *lo > 0 {
-                a.li(T0, *lo);
-                a.bltu(T6, T0, &bad);
-            }
-            if *hi < u64::MAX {
-                a.li(T0, *hi);
-                a.bltu(T0, T6, &bad);
-            }
-        }
-        a.j(&ok);
-        a.label(&bad);
-        a.li(T2, 1);
-        a.label(&ok);
-    }
-}
 
 /// One ring endpoint of a minted channel (addresses are global-VAS, so
 /// producer and consumer guests see the same base).
@@ -155,9 +46,9 @@ impl RingRef {
     }
 }
 
-/// A typed channel endpoint pair. `Req` flows caller → consumer through
-/// [`Channel::req`]; `Resp` flows back through [`Channel::resp`].
-pub struct Channel<Req: Wire = [u64; layout::REC_WORDS], Resp: Wire = [u64; layout::REC_WORDS]> {
+/// A channel endpoint pair. Requests flow caller → consumer through
+/// [`Channel::req`]; replies flow back through [`Channel::resp`].
+pub struct Channel {
     /// Registry index inside [`System`].
     pub id: usize,
     /// Channel name (traces and errors).
@@ -166,31 +57,6 @@ pub struct Channel<Req: Wire = [u64; layout::REC_WORDS], Resp: Wire = [u64; layo
     pub req: RingRef,
     /// Consumer → caller reply ring (SPSC).
     pub resp: RingRef,
-    _t: PhantomData<fn(Req) -> Resp>,
-}
-
-impl<Req: Wire, Resp: Wire> Channel<Req, Resp> {
-    /// Host-side typed send into the request ring (test and driver
-    /// convenience; guest producers use the [`aring::emit`] emitters).
-    pub fn send(&self, sys: &mut System, codec: &dyn Codec, req: &Req) -> Result<(), DipcError> {
-        let rec = codec.encode(req.to_rec())?;
-        let mut g = sys.channel_mem(self.id);
-        self.req.ring().try_enqueue(&mut g, &rec).map_err(|_| DipcError::Resource)?;
-        Ok(())
-    }
-
-    /// Host-side typed receive from the reply ring.
-    pub fn recv_reply(
-        &self,
-        sys: &mut System,
-        codec: &dyn Codec,
-    ) -> Result<Option<Resp>, DipcError> {
-        let mut g = sys.channel_mem(self.id);
-        match self.resp.ring().try_dequeue(&mut g.at(self.resp.base)) {
-            Some(rec) => Ok(Some(Resp::from_rec(&codec.decode(rec)?))),
-            None => Ok(None),
-        }
-    }
 }
 
 /// Registry record for a minted channel.
@@ -243,20 +109,20 @@ impl aring::RingMem for ChanMem<'_> {
 }
 
 impl System {
-    /// Mints a typed channel: allocates both rings in a fresh CODOMs domain
+    /// Mints a channel: allocates both rings in a fresh CODOMs domain
     /// owned by `consumer`, initializes them, and grants Write access to
     /// the consumer's and every producer's default domain — the same
     /// `dom_copy` → `pass_handle` → `grant_create` walk that authorizes
     /// proxy entry points. All endpoint processes must be dIPC-enabled
     /// (the rings live in the global VAS).
-    pub fn channel_create<Req: Wire, Resp: Wire>(
+    pub fn channel_create(
         &mut self,
         name: &str,
         consumer: Pid,
         producers: &[Pid],
         req_cfg: RingCfg,
         resp_cfg: RingCfg,
-    ) -> Result<Channel<Req, Resp>, DipcError> {
+    ) -> Result<Channel, DipcError> {
         assert!(!resp_cfg.mpsc, "the reply ring has a single producer (the consumer thread)");
         for pid in producers.iter().chain([&consumer]) {
             if !self.k.procs.get(pid).map(|p| p.dipc_enabled).unwrap_or(false) {
@@ -302,7 +168,6 @@ impl System {
             name: name.to_string(),
             req: RingRef { base: req_base, cfg: req_cfg },
             resp: RingRef { base: resp_base, cfg: resp_cfg },
-            _t: PhantomData,
         })
     }
 

@@ -166,8 +166,6 @@ pub struct BuiltApp {
     pub dom: Handle,
     /// Entry handle per export name.
     pub export_handles: HashMap<String, Handle>,
-    /// Stub entry address per export name (what `entry_register` points at).
-    pub export_stubs: HashMap<String, (u64, Signature, IsoProps)>,
     /// Extra domains: name → (owner handle, base address, size).
     pub data_domains: HashMap<String, (Handle, u64, u64)>,
     /// Named default-domain data regions: name → base address.
@@ -276,7 +274,6 @@ impl World {
         // arrays, our benches register singletons for simple resolution).
         let dom = self.sys.dom_default(pid);
         let mut export_handles = HashMap::new();
-        let mut export_stubs = HashMap::new();
         for e in exports {
             let stub_addr = img.addr(&stub_labels[&e.name]);
             let desc = EntryDesc { address: stub_addr, signature: e.sig, policy: e.policy };
@@ -285,7 +282,6 @@ impl World {
                 .entry_register(pid, dom, vec![desc])
                 .expect("export registration is well-formed by construction");
             export_handles.insert(e.name.clone(), h);
-            export_stubs.insert(e.name.clone(), (stub_addr, e.sig, e.policy));
         }
 
         // Extra data domains.
@@ -307,7 +303,6 @@ impl World {
                 got,
                 dom,
                 export_handles,
-                export_stubs,
                 data_domains,
                 data,
                 imports: imports.to_vec(),

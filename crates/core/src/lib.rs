@@ -68,7 +68,7 @@ pub mod stubs;
 pub mod system;
 
 pub use api::{DipcError, EntryDesc, Handle, HandlePerm, IsoProps, Signature};
-pub use channel::{ChanRec, Channel, Codec, InPlace, RingRef, Validated, Wire};
+pub use channel::{ChanRec, Channel, RingRef};
 pub use dsl::{AppSpec, BuiltApp, DomainSpec, EntrySpec, ImportSpec, World};
 pub use image::{DipcImage, ImageError};
 pub use proxy::{ProxySpec, TemplateKey};

@@ -99,8 +99,6 @@ const TRACK_RESOLVE_COST: u64 = 4000;
 struct ProxyRec {
     dom: DomainTag,
     ret_addr: u64,
-    #[allow(dead_code)]
-    callee_pid: u64,
     /// The callee's domain (for teardown bookkeeping).
     callee_dom: DomainTag,
     /// Stack confidentiality active (required for §5.4 thread splitting:
@@ -113,7 +111,6 @@ struct TrackCtx {
     tls: u64,
     stack_top: u64,
     dcs: u64,
-    #[allow(dead_code)]
     tidp: u64,
 }
 
@@ -126,7 +123,9 @@ pub enum SysStep {
     Finished,
     /// Nothing can run.
     Deadlock,
-    /// Embedder event (NIC models etc.).
+    /// Never produced: the kernel has no embedder events. Kept only
+    /// because `benchmark/` matches on it; delete together with that arm
+    /// in a `benchmark` PR.
     External {
         /// Event class.
         class: u32,
@@ -225,11 +224,6 @@ impl System {
     /// process whose [`dsys::PLUGIN_DENY`] verdicts are honoured.
     pub fn register_filter(&mut self, pid: Pid) {
         self.filter_pid = Some(pid.0);
-    }
-
-    /// Is `pid` a sandboxed plugin (live or reclaimed)?
-    pub fn is_sandboxed(&self, pid: Pid) -> bool {
-        self.plugins.contains_key(&pid.0)
     }
 
     /// Violations recorded against a sandboxed plugin.
@@ -504,7 +498,6 @@ impl System {
                 ProxyRec {
                     dom: p,
                     ret_addr: at + ret_off,
-                    callee_pid: callee_pid.0,
                     callee_dom: rec.dom,
                     stack_conf: spec.key.props.contains(IsoProps::STACK_CONF),
                 },
@@ -1074,7 +1067,6 @@ impl System {
             KStep::Progress => SysStep::Progress,
             KStep::Finished => SysStep::Finished,
             KStep::Deadlock => SysStep::Deadlock,
-            KStep::External { class, data, time } => SysStep::External { class, data, time },
             KStep::UnknownSyscall { cpu, tid, nr, args } => {
                 let ret = self.dipc_syscall(cpu, tid, nr, args);
                 self.k.syscall_return(cpu, ret);

@@ -9,11 +9,6 @@ use dipc::{dsys, Signature, System};
 use simkernel::{sysno, KernelConfig, ThreadState};
 use simmem::PageFlags;
 
-fn sys(a: &mut Asm, n: u64) {
-    a.li(A7, n);
-    a.push(Instr::Ecall);
-}
-
 #[test]
 fn entry_resolution_over_named_sockets() {
     let mut s = System::new(KernelConfig { cpus: 1, ..KernelConfig::default() });
@@ -27,7 +22,7 @@ fn entry_resolution_over_named_sockets() {
     // 4. listen("res"), accept, send_fd(entry fd).
     let mut a = Asm::new();
     a.label("main");
-    sys(&mut a, dsys::DOM_DEFAULT);
+    a.syscall(dsys::DOM_DEFAULT);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO }); // dom fd
                                                        // Descriptor: [address, signature, policy, 0].
     a.li_sym(T0, "$desc");
@@ -39,18 +34,18 @@ fn entry_resolution_over_named_sockets() {
     a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
     a.li(A1, 1); // count
     a.li_sym(A2, "$desc");
-    sys(&mut a, dsys::ENTRY_REGISTER);
+    a.syscall(dsys::ENTRY_REGISTER);
     a.push(Instr::Add { rd: S1, rs1: A0, rs2: ZERO }); // entry fd
                                                        // Named socket handshake.
     a.li_sym(A0, "$name");
     a.li(A1, 3);
-    sys(&mut a, sysno::SOCK_LISTEN);
+    a.syscall(sysno::SOCK_LISTEN);
     a.push(Instr::Add { rd: A0, rs1: A0, rs2: ZERO });
-    sys(&mut a, sysno::SOCK_ACCEPT);
+    a.syscall(sysno::SOCK_ACCEPT);
     a.push(Instr::Add { rd: S2, rs1: A0, rs2: ZERO });
     a.push(Instr::Add { rd: A0, rs1: S2, rs2: ZERO });
     a.push(Instr::Add { rd: A1, rs1: S1, rs2: ZERO });
-    sys(&mut a, sysno::SEND_FD);
+    a.syscall(sysno::SEND_FD);
     a.push(Instr::Halt);
     // The exported function (64-byte aligned like any entry point).
     a.align(64);
@@ -69,10 +64,10 @@ fn entry_resolution_over_named_sockets() {
     a.label("main");
     a.li_sym(A0, "$name");
     a.li(A1, 3);
-    sys(&mut a, sysno::SOCK_CONNECT);
+    a.syscall(sysno::SOCK_CONNECT);
     a.push(Instr::Add { rd: S2, rs1: A0, rs2: ZERO });
     a.push(Instr::Add { rd: A0, rs1: S2, rs2: ZERO });
-    sys(&mut a, sysno::RECV_FD);
+    a.syscall(sysno::RECV_FD);
     a.push(Instr::Add { rd: S1, rs1: A0, rs2: ZERO }); // entry fd
                                                        // Request descriptor (signature must match - P4).
     a.li_sym(T0, "$desc");
@@ -83,14 +78,14 @@ fn entry_resolution_over_named_sockets() {
     a.push(Instr::Add { rd: A0, rs1: S1, rs2: ZERO });
     a.li(A1, 1);
     a.li_sym(A2, "$desc");
-    sys(&mut a, dsys::ENTRY_REQUEST);
+    a.syscall(dsys::ENTRY_REQUEST);
     a.push(Instr::Add { rd: S3, rs1: A0, rs2: ZERO }); // proxy dom fd
                                                        // Grant ourselves Call permission on the proxy domain.
-    sys(&mut a, dsys::DOM_DEFAULT);
+    a.syscall(dsys::DOM_DEFAULT);
     a.push(Instr::Add { rd: T2, rs1: A0, rs2: ZERO });
     a.push(Instr::Add { rd: A0, rs1: T2, rs2: ZERO });
     a.push(Instr::Add { rd: A1, rs1: S3, rs2: ZERO });
-    sys(&mut a, dsys::GRANT_CREATE);
+    a.syscall(dsys::GRANT_CREATE);
     // Load the patched proxy address and call it.
     a.li_sym(T0, "$desc");
     a.push(Instr::Ld { rd: T6, rs1: T0, imm: 0 });

@@ -38,10 +38,9 @@
 //! p50/p99 columns reported by `asyncbench` are measured by identical
 //! machinery.
 
-use aring::{emit, layout, Backpressure, RingCfg};
+use aring::{emit, Backpressure, RingCfg};
 use cdvm::isa::reg::*;
 use cdvm::{Asm, Instr};
-use simkernel::object::{KObject, Storage};
 use simkernel::{sysno, KernelConfig};
 use simmem::PageTableId;
 
@@ -199,11 +198,6 @@ impl AsyncOltp {
     }
 }
 
-fn sys(a: &mut Asm, n: u64) {
-    a.li(A7, n);
-    a.push(Instr::Ecall);
-}
-
 /// `lat_store(a, buf)`: store the latency in `a0` into the sample buffer
 /// whose base pointer is in `buf` (count word + wrapping slots). Clobbers
 /// `t0`, `t1`.
@@ -252,7 +246,7 @@ fn emit_aweb_main(
     a.li(T0, window);
     a.bgeu(S4, T0, "aweb_drain");
     a.push(Instr::Work { rs1: 0, imm: parse });
-    sys(a, sysno::CLOCK_NS);
+    a.syscall(sysno::CLOCK_NS);
     a.push(Instr::Add { rd: A3, rs1: A0, rs2: ZERO }); // enqueue timestamp
     tiers::emit_lcg(a, S2, A2); // request id
     emit::emit_enqueue(a, "aweb_enq", S0, &req_cfg, &|a, slot| {
@@ -282,7 +276,7 @@ fn emit_aweb_main(
     });
     a.beq(A0, ZERO, "aweb_fill"); // drained: top the window back up
     a.push(Instr::Work { rs1: 0, imm: respond });
-    sys(a, sysno::CLOCK_NS);
+    a.syscall(sysno::CLOCK_NS);
     a.push(Instr::Sub { rd: A0, rs1: A0, rs2: A2 });
     lat_store(a, S6);
     a.push(Instr::Ld { rd: T0, rs1: S1, imm: 0 });
@@ -473,19 +467,6 @@ fn emit_adb_main(a: &mut Asm, db_cfg: RingCfg, batch: u64) {
     a.push(Instr::Halt);
 }
 
-/// Installs the DVDStore database file as fd 0 of the DB process.
-fn install_db_file(w: &mut World, p: &OltpParams) {
-    let storage = match p.storage {
-        StorageKind::Disk => Storage::Disk,
-        StorageKind::InMemory => Storage::Tmpfs,
-    };
-    let db_pid = w.app("db").pid;
-    let file = w.sys.k.add_file("dvdstore.db", vec![7u8; (p.row_bytes * 4) as usize], storage);
-    let fd =
-        w.sys.k.procs.get_mut(&db_pid).expect("exists").add_fd(KObject::File { id: file, pos: 0 });
-    assert_eq!(fd.0 as u64, tiers::DB_FD);
-}
-
 /// Builds the asynchronous pipeline.
 pub fn build_async(ap: &AsyncParams) -> AsyncOltp {
     let p = &ap.p;
@@ -530,30 +511,18 @@ pub fn build_async(ap: &AsyncParams) -> AsyncOltp {
     .data("lat", threads * LAT_STRIDE);
     w.build(web);
     w.link();
-    install_db_file(&mut w, p);
-
     let (web_pid, php_pid, db_pid) = (w.app("web").pid, w.app("php").pid, w.app("db").pid);
+    tiers::install_db_file(&mut w.sys.k, db_pid, "dvdstore.db", p);
+
     // Request channel: web → PHP, reply ring back to web thread 0.
     let req = w
         .sys
-        .channel_create::<[u64; layout::REC_WORDS], [u64; layout::REC_WORDS]>(
-            "async-req",
-            php_pid,
-            &[web_pid],
-            req_cfg,
-            compl_cfg,
-        )
+        .channel_create("async-req", php_pid, &[web_pid], req_cfg, compl_cfg)
         .expect("all endpoints are dIPC-enabled");
     // DB channel: PHP → DB queries, results back.
     let dbch = w
         .sys
-        .channel_create::<[u64; layout::REC_WORDS], [u64; layout::REC_WORDS]>(
-            "async-db",
-            db_pid,
-            &[php_pid],
-            db_cfg,
-            db_cfg,
-        )
+        .channel_create("async-db", db_pid, &[php_pid], db_cfg, db_cfg)
         .expect("all endpoints are dIPC-enabled");
     // Web thread 1 gets its own reply ring (a channel whose request ring
     // flows PHP → web).
@@ -562,7 +531,7 @@ pub fn build_async(ap: &AsyncParams) -> AsyncOltp {
     if ap.web_threads == 2 {
         let c1 = w
             .sys
-            .channel_create::<[u64; layout::REC_WORDS], [u64; layout::REC_WORDS]>(
+            .channel_create(
                 "async-compl1",
                 web_pid,
                 &[php_pid],
@@ -618,13 +587,13 @@ fn emit_web_main_timed(a: &mut Asm, p: &OltpParams) {
     a.push(Instr::Addi { rd: S2, rs1: A0, imm: 17 });
     a.label("web_loop");
     a.push(Instr::Work { rs1: 0, imm: parse });
-    sys(a, sysno::CLOCK_NS);
+    a.syscall(sysno::CLOCK_NS);
     a.push(Instr::Add { rd: S4, rs1: A0, rs2: ZERO });
     tiers::emit_lcg(a, S2, A0);
     a.li(A1, 0);
     a.jal(RA, "call_php_php_render");
     a.push(Instr::Work { rs1: 0, imm: respond });
-    sys(a, sysno::CLOCK_NS);
+    a.syscall(sysno::CLOCK_NS);
     a.push(Instr::Sub { rd: A0, rs1: A0, rs2: S4 });
     lat_store(a, S3);
     a.push(Instr::Ld { rd: T0, rs1: S1, imm: 0 });
@@ -671,7 +640,8 @@ pub fn build_sync(ap: &AsyncParams) -> AsyncOltp {
     .data("lat", ap.web_threads * LAT_STRIDE);
     w.build(web);
     w.link();
-    install_db_file(&mut w, p);
+    let db_pid = w.app("db").pid;
+    tiers::install_db_file(&mut w.sys.k, db_pid, "dvdstore.db", p);
 
     for i in 0..ap.web_threads {
         w.spawn("web", "web_main", &[i]);

@@ -10,12 +10,11 @@
 //! entry adds register integrity toward its callers.
 
 use cdvm::isa::reg::*;
-use simkernel::object::{KObject, Storage};
 use simkernel::KernelConfig;
 
 use dipc::{AppSpec, IsoProps, Signature, World};
 
-use crate::params::{OltpParams, StorageKind};
+use crate::params::OltpParams;
 use crate::tiers::{self, TABLE_ROWS};
 use crate::Stack;
 
@@ -76,16 +75,8 @@ pub fn build(p: &OltpParams) -> Stack {
 
     w.link();
 
-    // Database file = fd 0 of the DB process.
-    let storage = match p.storage {
-        StorageKind::Disk => Storage::Disk,
-        StorageKind::InMemory => Storage::Tmpfs,
-    };
     let db_pid = w.app("db").pid;
-    let file = w.sys.k.add_file("dvdstore.db", vec![7u8; (p.row_bytes * 4) as usize], storage);
-    let fd =
-        w.sys.k.procs.get_mut(&db_pid).expect("exists").add_fd(KObject::File { id: file, pos: 0 });
-    assert_eq!(fd.0 as u64, tiers::DB_FD);
+    tiers::install_db_file(&mut w.sys.k, db_pid, "dvdstore.db", p);
 
     let counters = w.app("web").data["counters"];
     let sheds = w.app("web").data.get("shed").copied();
@@ -102,6 +93,7 @@ pub fn build(p: &OltpParams) -> Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::StorageKind;
 
     #[test]
     fn dipc_stack_completes_operations() {

@@ -6,11 +6,10 @@ use std::collections::HashMap;
 use cdvm::isa::reg::RA;
 use cdvm::Asm;
 use dipc::System;
-use simkernel::object::{KObject, Storage};
 use simkernel::KernelConfig;
 use simmem::PageFlags;
 
-use crate::params::{OltpParams, StorageKind};
+use crate::params::OltpParams;
 use crate::tiers::{self, TABLE_ROWS};
 use crate::Stack;
 
@@ -20,14 +19,7 @@ pub fn build(p: &OltpParams) -> Stack {
         System::new(KernelConfig { cpus: p.cores, steal: p.steal, ..KernelConfig::default() });
     let pid = sys.k.create_process("ideal-stack", true);
 
-    // The database file must be fd 0 (tiers::DB_FD).
-    let storage = match p.storage {
-        StorageKind::Disk => Storage::Disk,
-        StorageKind::InMemory => Storage::Tmpfs,
-    };
-    let file = sys.k.add_file("dvdstore.db", vec![7u8; (p.row_bytes * 4) as usize], storage);
-    let fd = sys.k.procs.get_mut(&pid).expect("exists").add_fd(KObject::File { id: file, pos: 0 });
-    assert_eq!(fd.0 as u64, tiers::DB_FD);
+    tiers::install_db_file(&mut sys.k, pid, "dvdstore.db", p);
 
     // Data regions.
     let mut externs = HashMap::new();
@@ -62,6 +54,7 @@ pub fn build(p: &OltpParams) -> Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::StorageKind;
 
     #[test]
     fn ideal_in_memory_reaches_cpu_bound_throughput() {

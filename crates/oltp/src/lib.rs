@@ -40,7 +40,6 @@ pub mod workload;
 pub use params::{OltpParams, OltpResult, StorageKind};
 
 use dipc::System;
-use simkernel::TimeCat;
 use simmem::PageTableId;
 
 /// A built stack ready to run.
@@ -145,9 +144,4 @@ impl Stack {
             breakdown,
         }
     }
-}
-
-/// Sanity accessor used by tests: the idle fraction of a finished run.
-pub fn idle_fraction(b: &simkernel::TimeBreakdown) -> f64 {
-    b.fraction(TimeCat::Idle)
 }

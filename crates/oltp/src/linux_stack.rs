@@ -9,11 +9,10 @@ use baselines::util::make_sock_pair;
 use cdvm::isa::reg::*;
 use cdvm::{Asm, Instr};
 use dipc::System;
-use simkernel::object::{KObject, Storage};
 use simkernel::KernelConfig;
 use simmem::PageFlags;
 
-use crate::params::{OltpParams, StorageKind};
+use crate::params::OltpParams;
 use crate::tiers::{self, TABLE_ROWS};
 use crate::Stack;
 
@@ -30,14 +29,7 @@ pub fn build(p: &OltpParams) -> Stack {
     let php = sys.k.create_process("php-fpm", false);
     let db = sys.k.create_process("mariadb", false);
 
-    // Database file = fd 0 of the DB process.
-    let storage = match p.storage {
-        StorageKind::Disk => Storage::Disk,
-        StorageKind::InMemory => Storage::Tmpfs,
-    };
-    let file = sys.k.add_file("dvdstore.db", vec![7u8; (p.row_bytes * 4) as usize], storage);
-    let fd = sys.k.procs.get_mut(&db).expect("exists").add_fd(KObject::File { id: file, pos: 0 });
-    assert_eq!(fd.0 as u64, tiers::DB_FD);
+    tiers::install_db_file(&mut sys.k, db, "dvdstore.db", p);
 
     let n = p.concurrency;
     let marshal = (p.marshal_ns as f64 * 3.1) as i32;
@@ -195,6 +187,7 @@ pub fn build(p: &OltpParams) -> Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::StorageKind;
 
     #[test]
     fn linux_stack_completes_operations() {

@@ -69,7 +69,6 @@ use std::collections::HashMap;
 use aring::{emit, layout, Backpressure, Ring, RingCfg};
 use cdvm::isa::reg::*;
 use cdvm::{Asm, Instr};
-use simkernel::object::{KObject, Storage};
 use simkernel::{sysno, KernelConfig, Pid};
 use simmem::PageTableId;
 
@@ -307,11 +306,6 @@ impl ProdRun {
     }
 }
 
-fn sys_call(a: &mut Asm, n: u64) {
-    a.li(A7, n);
-    a.push(Instr::Ecall);
-}
-
 /// Bumps `region[S10]` (the per-thread slot of an edge counter region).
 /// Clobbers `t0`–`t2`.
 fn bump_thread_slot(a: &mut Asm, region: &str) {
@@ -462,7 +456,7 @@ fn emit_edge_main(a: &mut Asm, pp: &ProdParams, cfg: &RingCfg) {
 
     a.label("edge_respond");
     a.push(Instr::Work { rs1: 0, imm: respond });
-    sys_call(a, sysno::CLOCK_NS);
+    a.syscall(sysno::CLOCK_NS);
     a.push(Instr::Sub { rd: A0, rs1: A0, rs2: S5 });
     // A busy (never-parked) consumer can reach a record injected at the
     // slice frontier while its own CPU clock still trails it by a fraction
@@ -489,7 +483,7 @@ const PACE_NS: u64 = 25_000;
 fn emit_pacemaker(a: &mut Asm) {
     a.label("pace_main");
     a.li(A0, PACE_NS);
-    sys_call(a, sysno::SLEEP_NS);
+    a.syscall(sysno::SLEEP_NS);
     a.j("pace_main");
 }
 
@@ -576,16 +570,8 @@ fn emit_app(a: &mut Asm, pp: &ProdParams) {
 /// with nonzero deterministic rows (so render checksums are nonzero and
 /// cache hits are distinguishable from misses).
 fn install_db(w: &mut World, name: &str, p: &OltpParams) {
-    let storage = match p.storage {
-        StorageKind::Disk => Storage::Disk,
-        StorageKind::InMemory => Storage::Tmpfs,
-    };
     let pid = w.app(name).pid;
-    let file =
-        w.sys.k.add_file(&format!("{name}.db"), vec![7u8; (p.row_bytes * 4) as usize], storage);
-    let fd =
-        w.sys.k.procs.get_mut(&pid).expect("exists").add_fd(KObject::File { id: file, pos: 0 });
-    assert_eq!(fd.0 as u64, tiers::DB_FD, "db file must be fd 0");
+    tiers::install_db_file(&mut w.sys.k, pid, &format!("{name}.db"), p);
     let table = w.app(name).data["db_table"];
     let pt = simmem::Memory::GLOBAL_PT;
     for row in 0..TABLE_ROWS {
@@ -693,7 +679,7 @@ pub fn build(pp: &ProdParams) -> ProdStack {
     for i in 0..pp.edge_threads {
         let ch = w
             .sys
-            .channel_create::<[u64; layout::REC_WORDS], [u64; layout::REC_WORDS]>(
+            .channel_create(
                 &format!("lane{i}"),
                 edge_pid,
                 &[],

@@ -4,9 +4,10 @@
 
 use cdvm::isa::reg::*;
 use cdvm::{Asm, Instr};
-use simkernel::sysno;
+use simkernel::object::{KObject, Storage};
+use simkernel::{sysno, Kernel, Pid};
 
-use crate::params::OltpParams;
+use crate::params::{OltpParams, StorageKind};
 
 /// The database file is always installed as fd 0 of the process hosting the
 /// DB tier (asserted by the stack builders).
@@ -15,9 +16,16 @@ pub const DB_FD: u64 = 0;
 /// Rows in the in-memory table region (power of two).
 pub const TABLE_ROWS: u64 = 1024;
 
-fn sys(a: &mut Asm, n: u64) {
-    a.li(A7, n);
-    a.push(Instr::Ecall);
+/// Installs the DVDStore database file `name` as fd [`DB_FD`] of `pid`,
+/// backed by `p.storage`.
+pub fn install_db_file(k: &mut Kernel, pid: Pid, name: &str, p: &OltpParams) {
+    let storage = match p.storage {
+        StorageKind::Disk => Storage::Disk,
+        StorageKind::InMemory => Storage::Tmpfs,
+    };
+    let file = k.add_file(name, vec![7u8; (p.row_bytes * 4) as usize], storage);
+    let fd = k.procs.get_mut(&pid).expect("exists").add_fd(KObject::File { id: file, pos: 0 });
+    assert_eq!(fd.0 as u64, DB_FD, "db file must be fd 0");
 }
 
 /// Emits `dst = lcg_next(state_reg)` — a deterministic product-id generator
@@ -54,7 +62,7 @@ pub fn emit_db_query(a: &mut Asm, p: &OltpParams) {
     a.li(A0, DB_FD);
     a.li_sym(A1, "$data_db_iobuf");
     a.li(A2, p.row_bytes);
-    sys(a, sysno::FILE_READ);
+    a.syscall(sysno::FILE_READ);
     a.label("dbq_cached");
     // Row lookup: copy the row into the IO buffer (the query "result").
     a.li(T4, p.row_bytes);

@@ -24,14 +24,6 @@ pub enum Event {
         /// Value placed in the thread's wake slot (syscall result plumbing).
         value: u64,
     },
-    /// An event owned by an embedding layer (e.g. the NIC model); returned
-    /// to the embedder as [`crate::KStep::External`].
-    External {
-        /// Embedder-defined class.
-        class: u32,
-        /// Embedder-defined payload.
-        data: [u64; 2],
-    },
 }
 
 #[derive(PartialEq, Eq)]

@@ -191,15 +191,6 @@ pub enum KStep {
         /// Fault details.
         fault: Fault,
     },
-    /// An embedder-owned event fired (NIC completions etc.).
-    External {
-        /// Embedder-defined class.
-        class: u32,
-        /// Payload.
-        data: [u64; 2],
-        /// Global time (cycles) at which it fired.
-        time: u64,
-    },
     /// Live threads exist but nothing can ever run again.
     Deadlock,
     /// No live threads remain.
@@ -392,7 +383,6 @@ impl Kernel {
                 threads: Vec::new(),
                 stacks_alloc: 0,
                 alive: true,
-                cpu_time: 0,
             },
         );
         pid
@@ -733,18 +723,7 @@ impl Kernel {
         self.cpus[cpu].cpu.set_reg(a0, value);
     }
 
-    /// Blocks the current thread of `cpu` for an embedder-defined reason;
-    /// wake it later with [`Kernel::wake_external`]. Unlike kernel-internal
-    /// blocking this does *not* re-dispatch the syscall on wake: the wake
-    /// value becomes the syscall's return value.
-    pub fn block_external(&mut self, cpu: usize, class: u32) {
-        let tid = self.cpus[cpu].current.expect("a thread is running");
-        self.deschedule(cpu, ThreadState::Blocked(BlockReason::External(class)));
-        let t = self.threads.get_mut(&tid).expect("exists");
-        t.pending_syscall = None;
-    }
-
-    /// Wakes a thread blocked with [`Kernel::block_external`], delivering
+    /// Wakes a thread blocked with [`BlockReason::External`], delivering
     /// `value` as the blocked syscall's return value.
     pub fn wake_external(&mut self, tid: Tid, value: u64, from_cpu: usize) {
         if let Some(t) = self.threads.get_mut(&tid) {
@@ -753,11 +732,6 @@ impl Kernel {
                 self.make_runnable(tid, self.cpus[from_cpu].cpu.cycles);
             }
         }
-    }
-
-    /// Schedules an embedder event at absolute cycle `time`.
-    pub fn push_external_event(&mut self, time: u64, class: u32, data: [u64; 2]) {
-        self.events.push(time, Event::External { class, data });
     }
 
     // ------------------------------------------------------------------
@@ -813,9 +787,6 @@ impl Kernel {
                 KStep::Deadlock => panic!("simulation deadlock"),
                 KStep::UnknownSyscall { nr, .. } => {
                     panic!("unknown syscall {nr} with no embedder")
-                }
-                KStep::External { class, .. } => {
-                    panic!("external event class {class} with no embedder")
                 }
             }
         }
@@ -878,7 +849,6 @@ impl Kernel {
                 }
                 KStep::Progress
             }
-            Event::External { class, data } => KStep::External { class, data, time },
         }
     }
 
@@ -944,10 +914,6 @@ impl Kernel {
         let delta = self.cpus[i].cpu.cycles - start;
         self.cpus[i].breakdown.add(TimeCat::User, delta);
         t.cpu_time += delta;
-        let cur_pid = self.current_pid(i);
-        if let Some(p) = self.procs.get_mut(&cur_pid) {
-            p.cpu_time += delta;
-        }
         if simtrace::enabled() && delta > 0 {
             // Mirror reattribute(): on an ecall exit, the trailing ecall
             // microcode cycles belong to block (2), not user code.

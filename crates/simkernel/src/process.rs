@@ -201,8 +201,6 @@ pub struct Process {
     pub stacks_alloc: u64,
     /// Process is alive.
     pub alive: bool,
-    /// Accumulated CPU cycles charged to this process.
-    pub cpu_time: u64,
 }
 
 impl Process {
@@ -247,7 +245,6 @@ mod tests {
             threads: Vec::new(),
             stacks_alloc: 0,
             alive: true,
-            cpu_time: 0,
         }
     }
 

@@ -8,11 +8,6 @@ use cdvm::{Asm, Instr};
 use simkernel::syscall::{decode, errno};
 use simkernel::{sysno, Kernel, KernelConfig};
 
-fn sys(a: &mut Asm, n: u64) {
-    a.li(A7, n);
-    a.push(Instr::Ecall);
-}
-
 fn run_one(prog: cdvm::asm::Program, data: &[(&str, u64)]) -> (Kernel, simkernel::Tid) {
     let mut k = Kernel::new(KernelConfig { cpus: 1, ..KernelConfig::default() });
     let pid = k.create_process("p", false);
@@ -32,7 +27,7 @@ fn read_from_bad_fd_is_ebadf() {
     a.li(A0, 99);
     a.li_sym(A1, "$buf");
     a.li(A2, 8);
-    sys(&mut a, sysno::READ);
+    a.syscall(sysno::READ);
     a.push(Instr::Halt);
     let (k, tid) = run_one(a.finish(), &[("$buf", 4096)]);
     assert_eq!(decode(k.threads[&tid].exit_code), Err(errno::EBADF));
@@ -41,17 +36,17 @@ fn read_from_bad_fd_is_ebadf() {
 #[test]
 fn write_to_pipe_without_readers_is_epipe() {
     let mut a = Asm::new();
-    sys(&mut a, sysno::PIPE2);
+    a.syscall(sysno::PIPE2);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     // Close the read end (high half of the return).
     a.push(Instr::Srli { rd: A0, rs1: S0, imm: 32 });
-    sys(&mut a, sysno::CLOSE);
+    a.syscall(sysno::CLOSE);
     // Write to the write end.
     a.li(T1, 0xffff_ffff);
     a.push(Instr::And { rd: A0, rs1: S0, rs2: T1 });
     a.li_sym(A1, "$buf");
     a.li(A2, 4);
-    sys(&mut a, sysno::WRITE);
+    a.syscall(sysno::WRITE);
     a.push(Instr::Halt);
     let (k, tid) = run_one(a.finish(), &[("$buf", 4096)]);
     assert_eq!(decode(k.threads[&tid].exit_code), Err(errno::EPIPE));
@@ -60,17 +55,17 @@ fn write_to_pipe_without_readers_is_epipe() {
 #[test]
 fn read_from_closed_pipe_is_eof() {
     let mut a = Asm::new();
-    sys(&mut a, sysno::PIPE2);
+    a.syscall(sysno::PIPE2);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     // Close the write end.
     a.li(T1, 0xffff_ffff);
     a.push(Instr::And { rd: A0, rs1: S0, rs2: T1 });
-    sys(&mut a, sysno::CLOSE);
+    a.syscall(sysno::CLOSE);
     // Read returns 0 (EOF), not a block.
     a.push(Instr::Srli { rd: A0, rs1: S0, imm: 32 });
     a.li_sym(A1, "$buf");
     a.li(A2, 8);
-    sys(&mut a, sysno::READ);
+    a.syscall(sysno::READ);
     a.push(Instr::Addi { rd: A0, rs1: A0, imm: 100 });
     a.push(Instr::Halt);
     let (k, tid) = run_one(a.finish(), &[("$buf", 4096)]);
@@ -85,7 +80,7 @@ fn futex_wait_value_mismatch_is_eagain() {
     a.push(Instr::St { rs1: S0, rs2: T0, imm: 0 });
     a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
     a.li(A1, 0); // expect 0, actual 5
-    sys(&mut a, sysno::FUTEX_WAIT);
+    a.syscall(sysno::FUTEX_WAIT);
     a.push(Instr::Halt);
     let (k, tid) = run_one(a.finish(), &[("$word", 4096)]);
     assert_eq!(decode(k.threads[&tid].exit_code), Err(errno::EAGAIN));
@@ -96,7 +91,7 @@ fn futex_wake_with_no_waiters_returns_zero() {
     let mut a = Asm::new();
     a.li_sym(A0, "$word");
     a.li(A1, 10);
-    sys(&mut a, sysno::FUTEX_WAKE);
+    a.syscall(sysno::FUTEX_WAKE);
     a.push(Instr::Addi { rd: A0, rs1: A0, imm: 50 });
     a.push(Instr::Halt);
     let (k, tid) = run_one(a.finish(), &[("$word", 4096)]);
@@ -107,7 +102,7 @@ fn futex_wake_with_no_waiters_returns_zero() {
 fn pin_to_invalid_cpu_is_einval() {
     let mut a = Asm::new();
     a.li(A0, 12);
-    sys(&mut a, sysno::PIN_CPU);
+    a.syscall(sysno::PIN_CPU);
     a.push(Instr::Halt);
     let (k, tid) = run_one(a.finish(), &[]);
     assert_eq!(decode(k.threads[&tid].exit_code), Err(errno::EINVAL));
@@ -117,7 +112,7 @@ fn pin_to_invalid_cpu_is_einval() {
 fn mmap_zero_is_einval() {
     let mut a = Asm::new();
     a.li(A0, 0);
-    sys(&mut a, sysno::MMAP);
+    a.syscall(sysno::MMAP);
     a.push(Instr::Halt);
     let (k, tid) = run_one(a.finish(), &[]);
     assert_eq!(decode(k.threads[&tid].exit_code), Err(errno::EINVAL));
@@ -128,10 +123,10 @@ fn listen_duplicate_name_is_einval() {
     let mut a = Asm::new();
     a.li_sym(A0, "$nm");
     a.li(A1, 2);
-    sys(&mut a, sysno::SOCK_LISTEN);
+    a.syscall(sysno::SOCK_LISTEN);
     a.li_sym(A0, "$nm");
     a.li(A1, 2);
-    sys(&mut a, sysno::SOCK_LISTEN);
+    a.syscall(sysno::SOCK_LISTEN);
     a.push(Instr::Halt);
     let mut k = Kernel::new(KernelConfig { cpus: 1, ..KernelConfig::default() });
     let pid = k.create_process("p", false);
@@ -154,9 +149,9 @@ fn exit_group_kills_sibling_threads() {
     // Main: spawn a spinner, then exit_group.
     a.li_sym(A0, "spinner");
     a.li(A1, 0);
-    sys(&mut a, sysno::SPAWN_THREAD);
+    a.syscall(sysno::SPAWN_THREAD);
     a.li(A0, 3);
-    sys(&mut a, sysno::EXIT_GROUP);
+    a.syscall(sysno::EXIT_GROUP);
     a.align(64);
     a.label("spinner");
     a.label("fv");
@@ -175,7 +170,7 @@ fn exit_group_kills_sibling_threads() {
 fn l4_call_to_missing_thread_is_esrch() {
     let mut a = Asm::new();
     a.li(A0, 777); // no such tid
-    sys(&mut a, sysno::L4_CALL);
+    a.syscall(sysno::L4_CALL);
     a.push(Instr::Halt);
     let (k, tid) = run_one(a.finish(), &[]);
     assert_eq!(decode(k.threads[&tid].exit_code), Err(errno::ESRCH));
@@ -192,7 +187,7 @@ fn sleep_orders_multiple_timers() {
     // a0 = id, a1 = ns.
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     a.push(Instr::Add { rd: A0, rs1: A1, rs2: ZERO });
-    sys(&mut a, sysno::SLEEP_NS);
+    a.syscall(sysno::SLEEP_NS);
     // log = log * 10 + id.
     a.li_sym(T0, "$log");
     a.push(Instr::Ld { rd: T1, rs1: T0, imm: 0 });
@@ -243,11 +238,11 @@ fn read_into_half_mapped_buffer_is_efault_and_consumes_the_bytes() {
         a.li(A0, wfd as u64);
         a.li(A1, src);
         a.li(A2, 200);
-        sys(&mut a, sysno::WRITE);
+        a.syscall(sysno::WRITE);
         a.li(A0, rfd as u64);
         a.li(A1, dst + 4096 - 100);
         a.li(A2, 200);
-        sys(&mut a, sysno::READ);
+        a.syscall(sysno::READ);
         a.push(Instr::Halt);
         let img = k.load_program(pid, &a.finish(), &HashMap::new());
         let tid = k.spawn_thread(pid, img.base, &[]);

@@ -7,11 +7,6 @@ use cdvm::{Asm, Instr};
 use simkernel::{percpu, sysno, KStep, Kernel, KernelConfig, TimeCat};
 use simmem::Memory;
 
-fn sys(a: &mut Asm, n: u64) {
-    a.li(A7, n);
-    a.push(Instr::Ecall);
-}
-
 fn kernel(cpus: usize) -> Kernel {
     Kernel::new(KernelConfig { cpus, ..KernelConfig::default() })
 }
@@ -36,9 +31,9 @@ fn getpid_and_gettid() {
     let mut k = kernel(1);
     let pid = k.create_process("p", false);
     let mut a = Asm::new();
-    sys(&mut a, sysno::GETPID);
+    a.syscall(sysno::GETPID);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
-    sys(&mut a, sysno::GETTID);
+    a.syscall(sysno::GETTID);
     // exit code = pid * 1000 + tid
     a.li(T0, 1000);
     a.push(Instr::Mul { rd: S0, rs1: S0, rs2: T0 });
@@ -56,7 +51,7 @@ fn mmap_gives_writable_memory() {
     let pid = k.create_process("p", false);
     let mut a = Asm::new();
     a.li(A0, 8192);
-    sys(&mut a, sysno::MMAP);
+    a.syscall(sysno::MMAP);
     a.li(T0, 0x5a5a);
     a.push(Instr::St { rs1: A0, rs2: T0, imm: 4096 });
     a.push(Instr::Ld { rd: A0, rs1: A0, imm: 4096 });
@@ -70,9 +65,9 @@ fn mmap_gives_writable_memory() {
 /// Two threads in one process ping-pong a byte through two pipes.
 fn build_pipe_pingpong(iters: u64) -> cdvm::asm::Program {
     let mut a = Asm::new();
-    sys(&mut a, sysno::PIPE2);
+    a.syscall(sysno::PIPE2);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
-    sys(&mut a, sysno::PIPE2);
+    a.syscall(sysno::PIPE2);
     a.push(Instr::Add { rd: S1, rs1: A0, rs2: ZERO });
     a.push(Instr::Srli { rd: T0, rs1: S0, imm: 32 });
     a.push(Instr::Slli { rd: T0, rs1: T0, imm: 32 });
@@ -80,7 +75,7 @@ fn build_pipe_pingpong(iters: u64) -> cdvm::asm::Program {
     a.push(Instr::And { rd: T2, rs1: S1, rs2: T1 });
     a.push(Instr::Or { rd: A1, rs1: T0, rs2: T2 });
     a.li_sym(A0, "thread_b");
-    sys(&mut a, sysno::SPAWN_THREAD);
+    a.syscall(sysno::SPAWN_THREAD);
     a.push(Instr::Addi { rd: SP, rs1: SP, imm: -8 });
     a.li(S2, iters);
     a.label("loop_a");
@@ -88,11 +83,11 @@ fn build_pipe_pingpong(iters: u64) -> cdvm::asm::Program {
     a.push(Instr::And { rd: A0, rs1: S0, rs2: T1 });
     a.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
     a.li(A2, 1);
-    sys(&mut a, sysno::WRITE);
+    a.syscall(sysno::WRITE);
     a.push(Instr::Srli { rd: A0, rs1: S1, imm: 32 });
     a.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
     a.li(A2, 1);
-    sys(&mut a, sysno::READ);
+    a.syscall(sysno::READ);
     a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
     a.bne(S2, ZERO, "loop_a");
     a.li(A0, 7);
@@ -110,11 +105,11 @@ fn build_pipe_pingpong(iters: u64) -> cdvm::asm::Program {
     a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
     a.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
     a.li(A2, 1);
-    sys(&mut a, sysno::READ);
+    a.syscall(sysno::READ);
     a.push(Instr::Add { rd: A0, rs1: S1, rs2: ZERO });
     a.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
     a.li(A2, 1);
-    sys(&mut a, sysno::WRITE);
+    a.syscall(sysno::WRITE);
     a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
     a.bne(S2, ZERO, "loop_b");
     a.li(A0, 8);
@@ -147,7 +142,7 @@ fn emit_wait(a: &mut Asm, addr: u8, tag: &str) {
     a.bne(T0, ZERO, &got);
     a.push(Instr::Add { rd: A0, rs1: addr, rs2: ZERO });
     a.li(A1, 0);
-    sys(a, sysno::FUTEX_WAIT);
+    a.syscall(sysno::FUTEX_WAIT);
     a.j(&top);
     a.label(&got);
     a.push(Instr::St { rs1: addr, rs2: ZERO, imm: 0 });
@@ -159,7 +154,7 @@ fn emit_post(a: &mut Asm, addr: u8) {
     a.push(Instr::St { rs1: addr, rs2: T0, imm: 0 });
     a.push(Instr::Add { rd: A0, rs1: addr, rs2: ZERO });
     a.li(A1, 1);
-    sys(a, sysno::FUTEX_WAKE);
+    a.syscall(sysno::FUTEX_WAKE);
 }
 
 /// Futex-based semaphore ping-pong between two threads (the paper's "Sem."
@@ -280,20 +275,20 @@ fn socket_between_processes() {
     let mut s = Asm::new();
     s.li_sym(A0, "name");
     a_name(&mut s);
-    sys(&mut s, sysno::SOCK_LISTEN);
+    s.syscall(sysno::SOCK_LISTEN);
     s.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     s.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
-    sys(&mut s, sysno::SOCK_ACCEPT);
+    s.syscall(sysno::SOCK_ACCEPT);
     s.push(Instr::Add { rd: S1, rs1: A0, rs2: ZERO });
     s.push(Instr::Addi { rd: SP, rs1: SP, imm: -8 });
     s.push(Instr::Add { rd: A0, rs1: S1, rs2: ZERO });
     s.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
     s.li(A2, 4);
-    sys(&mut s, sysno::READ);
+    s.syscall(sysno::READ);
     s.push(Instr::Add { rd: A0, rs1: S1, rs2: ZERO });
     s.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
     s.li(A2, 4);
-    sys(&mut s, sysno::WRITE);
+    s.syscall(sysno::WRITE);
     s.li(A0, 0);
     s.push(Instr::Halt);
     s.label("name_data");
@@ -304,7 +299,7 @@ fn socket_between_processes() {
     let mut c = Asm::new();
     c.li_sym(A0, "name");
     a_name(&mut c);
-    sys(&mut c, sysno::SOCK_CONNECT);
+    c.syscall(sysno::SOCK_CONNECT);
     c.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     c.push(Instr::Addi { rd: SP, rs1: SP, imm: -8 });
     c.li(T0, 0x676e_6970); // "ping"
@@ -312,12 +307,12 @@ fn socket_between_processes() {
     c.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
     c.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
     c.li(A2, 4);
-    sys(&mut c, sysno::WRITE);
+    c.syscall(sysno::WRITE);
     c.push(Instr::St { rs1: SP, rs2: ZERO, imm: 0 });
     c.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
     c.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
     c.li(A2, 4);
-    sys(&mut c, sysno::READ);
+    c.syscall(sysno::READ);
     c.push(Instr::Ldb { rd: A0, rs1: SP, imm: 0 });
     c.push(Instr::Halt);
     let cprog = c.finish();
@@ -358,13 +353,13 @@ fn file_storage_latency_disk_vs_tmpfs() {
         let mut a = Asm::new();
         a.li_sym(A0, "fname");
         a.li(A1, 4);
-        sys(&mut a, sysno::FILE_OPEN);
+        a.syscall(sysno::FILE_OPEN);
         a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
         a.push(Instr::Addi { rd: SP, rs1: SP, imm: -64 });
         a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
         a.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
         a.li(A2, 64);
-        sys(&mut a, sysno::FILE_READ);
+        a.syscall(sysno::FILE_READ);
         a.push(Instr::Halt);
         let mut externs = HashMap::new();
         externs.insert("fname".to_string(), name_addr);
@@ -391,14 +386,14 @@ fn l4_call_reply_same_cpu() {
     // Client: spawn server, l4_call in a loop.
     a.li_sym(A0, "server");
     a.li(A1, 0);
-    sys(&mut a, sysno::SPAWN_THREAD);
+    a.syscall(sysno::SPAWN_THREAD);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO }); // server tid
     a.li(S1, iters);
     a.li(S2, 0); // accumulator
     a.label("loop_c");
     a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
     a.push(Instr::Add { rd: A1, rs1: S2, rs2: ZERO }); // msg = acc
-    sys(&mut a, sysno::L4_CALL);
+    a.syscall(sysno::L4_CALL);
     a.push(Instr::Add { rd: S2, rs1: A0, rs2: ZERO }); // acc = reply
     a.push(Instr::Addi { rd: S1, rs1: S1, imm: -1 });
     a.bne(S1, ZERO, "loop_c");
@@ -409,7 +404,7 @@ fn l4_call_reply_same_cpu() {
     a.label("server");
     a.li(A0, 0);
     a.label("loop_s");
-    sys(&mut a, sysno::L4_REPLY_WAIT);
+    a.syscall(sysno::L4_REPLY_WAIT);
     // a0 = caller tid, a1 = msg. Reply with msg+1.
     a.push(Instr::Add { rd: T0, rs1: A0, rs2: ZERO });
     a.push(Instr::Addi { rd: A1, rs1: A1, imm: 1 });
@@ -444,23 +439,23 @@ fn shm_shared_between_processes() {
     // p1: create shm, map, write 0xbeef at offset 0, send fd via socket.
     let mut a = Asm::new();
     a.li(A0, 4096);
-    sys(&mut a, sysno::SHM_CREATE);
+    a.syscall(sysno::SHM_CREATE);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
-    sys(&mut a, sysno::SHM_MAP);
+    a.syscall(sysno::SHM_MAP);
     a.push(Instr::Add { rd: S1, rs1: A0, rs2: ZERO });
     a.li(T0, 0xbeef);
     a.push(Instr::St { rs1: S1, rs2: T0, imm: 0 });
     // listen + accept + send_fd
     a.li_sym(A0, "nm");
     a.li(A1, 2);
-    sys(&mut a, sysno::SOCK_LISTEN);
+    a.syscall(sysno::SOCK_LISTEN);
     a.push(Instr::Add { rd: A0, rs1: A0, rs2: ZERO });
-    sys(&mut a, sysno::SOCK_ACCEPT);
+    a.syscall(sysno::SOCK_ACCEPT);
     a.push(Instr::Add { rd: S2, rs1: A0, rs2: ZERO });
     a.push(Instr::Add { rd: A0, rs1: S2, rs2: ZERO });
     a.push(Instr::Add { rd: A1, rs1: S0, rs2: ZERO });
-    sys(&mut a, sysno::SEND_FD);
+    a.syscall(sysno::SEND_FD);
     a.li(A0, 0);
     a.push(Instr::Halt);
     let prog1 = a.finish();
@@ -469,12 +464,12 @@ fn shm_shared_between_processes() {
     let mut a = Asm::new();
     a.li_sym(A0, "nm");
     a.li(A1, 2);
-    sys(&mut a, sysno::SOCK_CONNECT);
+    a.syscall(sysno::SOCK_CONNECT);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
-    sys(&mut a, sysno::RECV_FD);
+    a.syscall(sysno::RECV_FD);
     a.push(Instr::Add { rd: A0, rs1: A0, rs2: ZERO });
-    sys(&mut a, sysno::SHM_MAP);
+    a.syscall(sysno::SHM_MAP);
     a.push(Instr::Ld { rd: A0, rs1: A0, imm: 0 });
     a.push(Instr::Halt);
     let prog2 = a.finish();
@@ -499,7 +494,7 @@ fn unknown_syscall_surfaces_to_embedder() {
     let pid = k.create_process("p", false);
     let mut a = Asm::new();
     a.li(A0, 77);
-    sys(&mut a, 123); // unknown
+    a.syscall(123); // unknown
     a.push(Instr::Halt);
     let img = k.load_program(pid, &a.finish(), &HashMap::new());
     k.spawn_thread(pid, img.base, &[]);
@@ -542,7 +537,7 @@ fn sleep_advances_clock() {
     let pid = k.create_process("p", false);
     let mut a = Asm::new();
     a.li(A0, 1_000_000); // 1 ms
-    sys(&mut a, sysno::SLEEP_NS);
+    a.syscall(sysno::SLEEP_NS);
     a.push(Instr::Halt);
     let img = k.load_program(pid, &a.finish(), &HashMap::new());
     k.spawn_thread(pid, img.base, &[]);
@@ -586,10 +581,10 @@ fn percpu_words_follow_a_remapped_page() {
     a.push(Instr::Work { rs1: 0, imm: 3100 });
     a.push(Instr::Addi { rd: S1, rs1: S1, imm: -1 });
     a.bne(S1, ZERO, "work");
-    sys(&mut a, sysno::YIELD);
+    a.syscall(sysno::YIELD);
     a.push(Instr::Addi { rd: S0, rs1: S0, imm: -1 });
     a.bne(S0, ZERO, "round");
-    sys(&mut a, sysno::GETPID);
+    a.syscall(sysno::GETPID);
     a.push(Instr::Halt);
     let img = k.load_program(pid, &a.finish(), &HashMap::new());
     let tids = [k.spawn_thread(pid, img.base, &[]), k.spawn_thread(pid, img.base, &[])];
@@ -643,7 +638,7 @@ fn emit_sock_rounds(a: &mut Asm, client: bool, tag: &str) {
         a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
         a.push(Instr::Add { rd: A1, rs1: SP, rs2: ZERO });
         a.li(A2, 16);
-        sys(a, n);
+        a.syscall(n);
     }
     a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
     a.bne(S2, ZERO, tag);
@@ -684,7 +679,7 @@ fn build_sched_mix() -> cdvm::asm::Program {
     a.li(S2, 20);
     a.label("loop_y");
     a.push(Instr::Work { rs1: S0, imm: 0 });
-    sys(&mut a, sysno::YIELD);
+    a.syscall(sysno::YIELD);
     a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
     a.bne(S2, ZERO, "loop_y");
     a.li(A0, 3);
@@ -694,12 +689,12 @@ fn build_sched_mix() -> cdvm::asm::Program {
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     a.beq(A1, ZERO, "unpinned");
     a.push(Instr::Addi { rd: A0, rs1: A1, imm: -1 });
-    sys(&mut a, sysno::PIN_CPU);
+    a.syscall(sysno::PIN_CPU);
     a.label("unpinned");
     a.li(S2, 40);
     a.label("loop_s");
     a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
-    sys(&mut a, sysno::SLEEP_NS);
+    a.syscall(sysno::SLEEP_NS);
     a.push(Instr::Work { rs1: 0, imm: 900 });
     a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
     a.bne(S2, ZERO, "loop_s");
@@ -708,15 +703,15 @@ fn build_sched_mix() -> cdvm::asm::Program {
     // Socket client / server, a0 = address of the 2-byte name.
     a.label("client");
     a.li(A1, 2);
-    sys(&mut a, sysno::SOCK_CONNECT);
+    a.syscall(sysno::SOCK_CONNECT);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     emit_sock_rounds(&mut a, true, "loop_c");
     a.li(A0, 5);
     a.push(Instr::Halt);
     a.label("server");
     a.li(A1, 2);
-    sys(&mut a, sysno::SOCK_LISTEN);
-    sys(&mut a, sysno::SOCK_ACCEPT);
+    a.syscall(sysno::SOCK_LISTEN);
+    a.syscall(sysno::SOCK_ACCEPT);
     a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
     emit_sock_rounds(&mut a, false, "loop_v");
     a.li(A0, 6);

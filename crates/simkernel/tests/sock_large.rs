@@ -10,11 +10,6 @@ use cdvm::{Asm, Instr};
 use simkernel::object::{KObject, Pipe, Sock, SOCK_CAPACITY};
 use simkernel::{sysno, KStep, Kernel, KernelConfig};
 
-fn sys(a: &mut Asm, n: u64) {
-    a.li(A7, n);
-    a.push(Instr::Ecall);
-}
-
 /// What the transfer tests move bytes through.
 #[derive(Clone, Copy, Debug)]
 enum Chan {
@@ -59,10 +54,10 @@ fn program(rounds: u64, total: u64, legs: &[Leg]) -> cdvm::asm::Program {
         a.label(&len_ok);
         a.push(Instr::Add { rd: A0, rs1: S0, rs2: ZERO });
         a.push(Instr::Add { rd: A1, rs1: S1, rs2: T1 });
-        sys(&mut a, leg.nr);
+        a.syscall(leg.nr);
         a.push(Instr::Add { rd: T1, rs1: T1, rs2: A0 });
         if leg.yield_each {
-            sys(&mut a, sysno::YIELD);
+            a.syscall(sysno::YIELD);
         }
         a.j(&again);
         a.label(&done);

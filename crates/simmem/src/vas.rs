@@ -170,11 +170,6 @@ impl GlobalVas {
     pub fn reservations(&self) -> u64 {
         self.reservations
     }
-
-    /// Number of live blocks.
-    pub fn live_blocks(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 /// Conventional private-process address-space layout.
@@ -183,8 +178,6 @@ impl GlobalVas {
 /// dIPC-enabled processes instead live in the global space.
 #[derive(Clone, Copy, Debug)]
 pub struct ProcLayout {
-    /// Base of the text (code) segment.
-    pub text_base: u64,
     /// Base of the heap (grows up).
     pub heap_base: u64,
     /// Top of the main thread's stack (grows down).
@@ -196,7 +189,6 @@ pub struct ProcLayout {
 impl Default for ProcLayout {
     fn default() -> Self {
         ProcLayout {
-            text_base: 0x0000_0000_0040_0000,
             heap_base: 0x0000_0000_1000_0000,
             stack_top: 0x0000_0000_7fff_f000,
             stack_size: 64 * PAGE_SIZE,

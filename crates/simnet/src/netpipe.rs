@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use baselines::asmlib::{read_exact, sem_post, sem_wait, sys, write_all};
+use baselines::asmlib::{read_exact, sem_post, sem_wait, write_all};
 use cdvm::isa::reg::*;
 use cdvm::{Asm, Instr};
 use dipc::{AppSpec, IsoProps, Signature, System, World};
@@ -165,7 +165,7 @@ pub fn netpipe_rtt(iso: DriverIso, size: u64, iters: u64) -> NetResult {
                         // validation / descriptor pinning work per op.
                         a.push(Instr::Add { rd: S6, rs1: A0, rs2: ZERO });
                         a.push(Instr::Add { rd: S7, rs1: A1, rs2: ZERO });
-                        sys(a, sysno::GETTID);
+                        a.syscall(sysno::GETTID);
                         a.push(Instr::Work { rs1: 0, imm: 140 });
                         a.push(Instr::Add { rd: A0, rs1: S6, rs2: ZERO });
                         a.push(Instr::Add { rd: A1, rs1: S7, rs2: ZERO });

@@ -60,8 +60,7 @@ fn channel_grants_gate_ring_access() {
     w.link();
 
     let (cons, prod, intr) = (w.app("cons").pid, w.app("prod").pid, w.app("intr").pid);
-    let ch =
-        w.sys.channel_create::<[u64; 4], [u64; 4]>("gate", cons, &[prod], cfg, cfg).expect("mint");
+    let ch = w.sys.channel_create("gate", cons, &[prod], cfg, cfg).expect("mint");
 
     let ptid = w.spawn("prod", "prod_main", &[ch.req.base]);
     let itid = w.spawn("intr", "intr_main", &[ch.req.base]);
