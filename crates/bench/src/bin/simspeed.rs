@@ -2,7 +2,7 @@
 //! each of the two engines retires — the reference interpreter
 //! (`CDVM_NO_FASTPATH=1`: every fetch translated and decoded from scratch,
 //! no host cache) and the fast engine (superblocks, crossing descriptors,
-//! operand cache, threaded handlers, host translation cache).
+//! operand cache, threaded handlers).
 //!
 //! Unlike every other binary here, this one measures *wall-clock* host
 //! performance, not simulated cycles — the simulated results are identical
@@ -105,7 +105,7 @@ fn workloads() -> Vec<Workload> {
 }
 
 /// Builds a fresh bare machine for a raw workload (the engine is sampled
-/// at construction, so callers call `simmem::set_fastpath` first).
+/// at construction, so callers call `cdvm::set_fastpath` first).
 fn build(code: &[u8], callee: Option<&Vec<u8>>) -> (Memory, Cpu) {
     let mut mem = Memory::new();
     let pt = Memory::GLOBAL_PT;
@@ -232,7 +232,7 @@ fn main() {
     let target = 2_000_000 * scale;
     // Respect an operator's `CDVM_NO_FASTPATH=1`: the fast column then
     // measures the reference too (and says so).
-    let degraded = !simmem::fastpath_enabled();
+    let degraded = !cdvm::fastpath_enabled();
     if degraded {
         println!("note: CDVM_NO_FASTPATH is set; both columns run the reference interpreter");
     }
@@ -251,11 +251,11 @@ fn main() {
     }
     let mut rows = Vec::new();
     for w in workloads() {
-        simmem::set_fastpath(Some(false));
+        cdvm::set_fastpath(Some(false));
         let (mips_reference, _) = measure(&w, target, do_assert);
-        simmem::set_fastpath(Some(!degraded));
+        cdvm::set_fastpath(Some(!degraded));
         let (mips_fast, caches) = measure(&w, target, do_assert);
-        simmem::set_fastpath(None);
+        cdvm::set_fastpath(None);
         println!(
             "{:<8} {:<34} {:>9.2} {:>8.2} {:>7.2}x {:>6.1}%",
             w.name,

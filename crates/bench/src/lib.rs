@@ -8,7 +8,7 @@
 //! paper-vs-measured comparison.
 //!
 //! This module is the only reader of the environment besides the engine
-//! switch in `simmem::fastpath`: [`banner`] reads `DIPC_TRACE` and
+//! switch in `cdvm::fastpath`: [`banner`] reads `DIPC_TRACE` and
 //! `DIPC_FAULTS`, and every other knob goes through [`knob`] or [`flag`].
 //! The libraries underneath take explicit parameters only.
 

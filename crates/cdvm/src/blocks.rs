@@ -82,7 +82,7 @@
 //! maximal pure prefix. ALU-dense bodies dispatch through the handler
 //! table instead of the full `execute()` match.
 //!
-//! `CDVM_NO_FASTPATH=1` (see [`simmem::fastpath_enabled`]) runs the
+//! `CDVM_NO_FASTPATH=1` (see [`crate::fastpath_enabled`]) runs the
 //! reference interpreter instead of all of the above.
 
 use codoms::cap::Capability;
@@ -870,10 +870,10 @@ mod tests {
         code.extend_from_slice(&Instr::Movi { rd: A0, imm: 2 }.encode());
         let mut outcomes = Vec::new();
         for fast in [false, true] {
-            simmem::set_fastpath(Some(fast));
+            crate::set_fastpath(Some(fast));
             let mut mem = Memory::new();
             let mut cpu = Cpu::new(0);
-            simmem::set_fastpath(None);
+            crate::set_fastpath(None);
             mem.map_anon(Memory::GLOBAL_PT, CODE, 1, PageFlags::RWX, DomainTag(1));
             mem.kwrite(Memory::GLOBAL_PT, CODE, &code).unwrap();
             cpu.cur_dom = DomainTag(1);

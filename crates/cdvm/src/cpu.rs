@@ -143,7 +143,7 @@ pub struct Cpu {
     /// hot loop stays free of thread-local lookups.
     chaos: bool,
     /// Which engine [`Cpu::run`] uses (sampled from
-    /// [`simmem::fastpath_enabled`] at construction): the fast engine —
+    /// [`crate::fastpath_enabled`] at construction): the fast engine —
     /// superblocks, crossing descriptors, the operand cache, threaded
     /// handlers — or the reference interpreter, which touches no host
     /// cache at all. Blocks only engage through [`Cpu::run`]; direct
@@ -239,7 +239,7 @@ impl Cpu {
             cur_page_flags: PageFlags::empty(),
             instrument: simtrace::enabled(),
             chaos: simfault::armed(),
-            fast: simmem::fastpath_enabled(),
+            fast: crate::fastpath_enabled(),
             bcache: Some(Box::new(BlockCache::new())),
             dcache: DCache::new(),
             bulk: Vec::new(),

@@ -54,7 +54,7 @@
 //! context can change (a crossing, `Sysret`, `PtSwitch`).
 //!
 //! Part of the fast engine: a CPU built under `CDVM_NO_FASTPATH=1`
-//! ([`simmem::fastpath_enabled`]) never probes or fills it.
+//! ([`crate::fastpath_enabled`]) never probes or fills it.
 
 use codoms::HwTag;
 use simmem::{DomainTag, PageTableId, Pte};

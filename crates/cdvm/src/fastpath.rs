@@ -3,19 +3,18 @@
 //! The simulator has exactly two execution engines with identical
 //! simulated cycles, fault sequences and trace output:
 //!
-//! * the **reference** — `cdvm::Cpu::step` in a loop, translating and
+//! * the **reference** — [`crate::Cpu::step`] in a loop, translating and
 //!   decoding every fetch from scratch, with no host cache of any kind
-//!   (no [`crate::Memory`] translation cache, no block cache, no
-//!   data-operand cache);
-//! * the **fast** engine, the default — the cdvm superblock engine with
-//!   everything it caches, plus the [`crate::Memory`] translation cache.
+//!   (no block cache, no data-operand cache);
+//! * the **fast** engine, the default — the superblock engine
+//!   ([`crate::blocks`]) with everything it caches.
 //!
 //! `CDVM_NO_FASTPATH=1` selects the reference; [`set_fastpath`] overrides
 //! the environment programmatically. The differential tests run both and
 //! demand byte-identical results.
 //!
-//! The flag is sampled once at construction time by
-//! [`crate::Memory::new`] and `cdvm::Cpu::new`, never per access.
+//! The flag is sampled once, by [`crate::Cpu::new`], never per access;
+//! `simmem::Memory` is the same under both engines.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -31,7 +30,7 @@ fn env_default() -> bool {
     })
 }
 
-/// Whether newly constructed memories/CPUs should use the fast engine
+/// Whether newly constructed CPUs should use the fast engine
 /// (`false`: the reference interpreter).
 pub fn fastpath_enabled() -> bool {
     match OVERRIDE.load(Ordering::Relaxed) {
@@ -44,7 +43,7 @@ pub fn fastpath_enabled() -> bool {
 /// Overrides the `CDVM_NO_FASTPATH` environment variable for this process:
 /// `Some(true)` forces the fast engine, `Some(false)` forces the reference
 /// interpreter, and `None` reverts to the environment. Only affects
-/// memories/CPUs constructed *after* the call.
+/// CPUs constructed *after* the call.
 pub fn set_fastpath(enabled: Option<bool>) {
     let v = match enabled {
         None => 0,

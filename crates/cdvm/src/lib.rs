@@ -22,6 +22,7 @@
 //!   any kind. The *fast* engine (the default) is the three modules below;
 //!   `CDVM_NO_FASTPATH=1` selects the reference instead, and the two are
 //!   differentially tested byte-identical.
+//! * [`fastpath`] — that engine switch, sampled by `Cpu::new`.
 //! * [`blocks`] — the superblock cache: instruction runs decoded once,
 //!   validated once per entry and dispatched block-to-block with batched
 //!   cost accounting, deadline-exact. Block edges also carry pre-validated
@@ -43,6 +44,7 @@ pub mod cost;
 pub mod cpu;
 pub mod dcache;
 pub mod disasm;
+pub mod fastpath;
 pub mod isa;
 pub mod stats;
 pub mod threaded;
@@ -51,5 +53,6 @@ pub use asm::{Asm, Reloc, RelocKind};
 pub use blocks::{BlockCache, BlockStats};
 pub use cost::{CostModel, MachineConfig};
 pub use cpu::{Cpu, Fault, FaultKind, RunExit, StepEvent};
+pub use fastpath::{fastpath_enabled, set_fastpath};
 pub use isa::{reg, CapReg, Instr, Reg, INSTR_BYTES};
 pub use stats::HostCacheStats;

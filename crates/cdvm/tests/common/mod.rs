@@ -26,15 +26,15 @@ pub fn engine_name(fast: bool) -> &'static str {
 }
 
 /// Runs `build` with the engine switch forced to `fast`. The switch is
-/// process-global and sampled by `Memory::new`/`Cpu::new`, so whatever is
+/// process-global and sampled by `Cpu::new`, so whatever is
 /// constructed inside keeps that engine; the lock keeps concurrently
 /// running tests from constructing under each other's choice.
 pub fn on_engine<T>(fast: bool, build: impl FnOnce() -> T) -> T {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simmem::set_fastpath(Some(fast));
+    cdvm::set_fastpath(Some(fast));
     let built = build();
-    simmem::set_fastpath(None);
+    cdvm::set_fastpath(None);
     built
 }
 

@@ -720,37 +720,23 @@ impl System {
     fn unwind_running(&mut self, cpu: usize, _tid: Tid, _fault: Fault) -> bool {
         let top = self.k.percpu_read(cpu, percpu::KCS_TOP);
         let kbase = self.k.percpu_read(cpu, percpu::KCS_BASE);
-        let mut e = top;
-        while e >= kbase + percpu::KCS_ENTRY {
-            e -= percpu::KCS_ENTRY;
-            let caller_pid =
-                self.k.mem.kread_u64(Memory::GLOBAL_PT, e + kcs::CALLER_PID).expect("kcs mapped");
-            let alive = self.k.procs.get(&Pid(caller_pid)).map(|p| p.alive).unwrap_or(false);
-            if !alive {
-                continue;
-            }
-            let proxy_id =
-                self.k.mem.kread_u64(Memory::GLOBAL_PT, e + kcs::PROXY_ID).expect("kcs mapped");
-            let Some(pr) = self.proxies.get(&proxy_id) else { continue };
-            let (ret_addr, dom) = (pr.ret_addr, pr.dom);
-            // Resume on the recorded proxy's return path with the KCS
-            // positioned so it pops exactly this entry.
-            self.k.percpu_write(cpu, percpu::KCS_TOP, e + percpu::KCS_ENTRY);
-            let c = self.k.cost.exception + 600;
-            self.k.charge(cpu, TimeCat::Kernel, c);
-            let cpu_ref = &mut self.k.cpus[cpu].cpu;
-            cpu_ref.pc = ret_addr;
-            cpu_ref.cur_dom = dom;
-            cpu_ref.set_reg(reg::A0, DIPC_ERR_FAULT);
-            self.unwinds += 1;
-            if simtrace::enabled() {
-                simtrace::counter("unwinds", 1);
-                let now = self.k.cpus[cpu].cpu.cycles;
-                simtrace::instant(simtrace::Track::Cpu(cpu), now, "kcs_unwind", "fault");
-            }
-            return true;
+        let Some((e, _, ret_addr, dom)) = self.kcs_live_caller(top, kbase) else { return false };
+        // Resume on the recorded proxy's return path with the KCS
+        // positioned so it pops exactly this entry.
+        self.k.percpu_write(cpu, percpu::KCS_TOP, e + percpu::KCS_ENTRY);
+        let c = self.k.cost.exception + 600;
+        self.k.charge(cpu, TimeCat::Kernel, c);
+        let cpu_ref = &mut self.k.cpus[cpu].cpu;
+        cpu_ref.pc = ret_addr;
+        cpu_ref.cur_dom = dom;
+        cpu_ref.set_reg(reg::A0, DIPC_ERR_FAULT);
+        self.unwinds += 1;
+        if simtrace::enabled() {
+            simtrace::counter("unwinds", 1);
+            let now = self.k.cpus[cpu].cpu.cycles;
+            simtrace::instant(simtrace::Track::Cpu(cpu), now, "kcs_unwind", "fault");
         }
-        false
+        true
     }
 
     /// Unwinds a *descheduled* thread whose current process died (process
@@ -761,8 +747,33 @@ impl System {
             let t = &self.k.threads[&tid];
             (t.kcs_top, t.kcs_base)
         };
-        let mut e = kcs_top;
-        while e >= kcs_base + percpu::KCS_ENTRY {
+        let Some((e, caller_pid, ret_addr, dom)) = self.kcs_live_caller(kcs_top, kcs_base) else {
+            return false;
+        };
+        let t = self.k.threads.get_mut(&tid).expect("exists");
+        t.kcs_top = e + percpu::KCS_ENTRY;
+        t.ctx.pc = ret_addr;
+        t.ctx.cur_dom = dom;
+        t.ctx.regs[reg::A0 as usize] = DIPC_ERR_FAULT;
+        t.pending_syscall = None;
+        t.cur_pid = caller_pid;
+        if matches!(t.state, ThreadState::Blocked(_)) {
+            t.state = ThreadState::Runnable;
+            let (affinity, last_cpu, ready_at) = (t.affinity, t.last_cpu, t.ready_at);
+            self.k.enqueue(affinity.unwrap_or(last_cpu), tid, ready_at, affinity.is_some());
+        }
+        self.unwinds += 1;
+        simtrace::counter("unwinds", 1);
+        true
+    }
+
+    /// Searches the KCS between `base` and `top` downward for the nearest
+    /// entry whose caller is alive and whose proxy is still registered.
+    /// Returns the entry's address, the caller and the proxy's return
+    /// address and domain.
+    fn kcs_live_caller(&self, top: u64, base: u64) -> Option<(u64, Pid, u64, DomainTag)> {
+        let mut e = top;
+        while e >= base + percpu::KCS_ENTRY {
             e -= percpu::KCS_ENTRY;
             let caller_pid =
                 self.k.mem.kread_u64(Memory::GLOBAL_PT, e + kcs::CALLER_PID).expect("kcs mapped");
@@ -772,25 +783,11 @@ impl System {
             }
             let proxy_id =
                 self.k.mem.kread_u64(Memory::GLOBAL_PT, e + kcs::PROXY_ID).expect("kcs mapped");
-            let Some(pr) = self.proxies.get(&proxy_id) else { continue };
-            let (ret_addr, dom) = (pr.ret_addr, pr.dom);
-            let t = self.k.threads.get_mut(&tid).expect("exists");
-            t.kcs_top = e + percpu::KCS_ENTRY;
-            t.ctx.pc = ret_addr;
-            t.ctx.cur_dom = dom;
-            t.ctx.regs[reg::A0 as usize] = DIPC_ERR_FAULT;
-            t.pending_syscall = None;
-            t.cur_pid = Pid(caller_pid);
-            if matches!(t.state, ThreadState::Blocked(_)) {
-                t.state = ThreadState::Runnable;
-                let (affinity, last_cpu, ready_at) = (t.affinity, t.last_cpu, t.ready_at);
-                self.k.enqueue(affinity.unwrap_or(last_cpu), tid, ready_at, affinity.is_some());
+            if let Some(pr) = self.proxies.get(&proxy_id) {
+                return Some((e, Pid(caller_pid), pr.ret_addr, pr.dom));
             }
-            self.unwinds += 1;
-            simtrace::counter("unwinds", 1);
-            return true;
         }
-        false
+        None
     }
 
     /// Kills a process with dIPC semantics: visiting threads (threads of

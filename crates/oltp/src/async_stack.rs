@@ -44,8 +44,9 @@ use cdvm::{Asm, Instr};
 use simkernel::{sysno, KernelConfig};
 use simmem::PageTableId;
 
-use dipc::{AppSpec, IsoProps, Signature, World};
+use dipc::{AppSpec, IsoProps, World};
 
+use crate::dipc_stack;
 use crate::params::{OltpParams, StorageKind};
 use crate::tiers::{self, TABLE_ROWS};
 use crate::Stack;
@@ -609,33 +610,14 @@ pub fn build_sync(ap: &AsyncParams) -> AsyncOltp {
     let p = &ap.p;
     let mut w =
         World::new(KernelConfig { cpus: p.cores, steal: p.steal, ..KernelConfig::default() });
-    let sig = Signature::regs(2, 1);
-
-    let pdb = p.clone();
-    let db = AppSpec::new("db", move |a| {
-        tiers::emit_db_query(a, &pdb);
-    })
-    .export("db_query", sig, IsoProps::STACK_CONF | IsoProps::REG_INTEGRITY)
-    .data("db_table", TABLE_ROWS * p.row_bytes)
-    .data("db_qcount", 64)
-    .data("db_iobuf", p.row_bytes.max(64));
-    w.build(db);
-
-    let pphp = p.clone();
-    let php = AppSpec::new("php", move |a| {
-        tiers::emit_php_render(a, &pphp, &|a| {
-            a.jal(RA, "call_db_db_query");
-        });
-    })
-    .export("php_render", sig, IsoProps::STACK_CONF)
-    .import_live("db", "db_query", sig, IsoProps::LOW, &[S0, S6, S7]);
-    w.build(php);
+    w.build(dipc_stack::db_spec(p));
+    w.build(dipc_stack::php_spec(p));
 
     let pweb = p.clone();
     let web = AppSpec::new("web", move |a| {
         emit_web_main_timed(a, &pweb);
     })
-    .import_live("php", "php_render", sig, IsoProps::LOW, &[S1, S2, S3, S4])
+    .import_live("php", "php_render", dipc_stack::SIG, IsoProps::LOW, &[S1, S2, S3, S4])
     .data("counters", (ap.web_threads * 8).max(64))
     .data("lat", ap.web_threads * LAT_STRIDE);
     w.build(web);

@@ -18,33 +18,40 @@ use crate::params::OltpParams;
 use crate::tiers::{self, TABLE_ROWS};
 use crate::Stack;
 
-/// Builds the three-process dIPC stack.
-pub fn build(p: &OltpParams) -> Stack {
-    let mut w =
-        World::new(KernelConfig { cpus: p.cores, steal: p.steal, ..KernelConfig::default() });
-    let sig = Signature::regs(2, 1);
+/// The signature of every cross-tier call: two argument registers, one
+/// result.
+pub(crate) const SIG: Signature = Signature::regs(2, 1);
 
-    // --- DB process: exports `db_query` ---
+/// The DB process: exports `db_query`.
+pub(crate) fn db_spec(p: &OltpParams) -> AppSpec {
     let pdb = p.clone();
-    let db = AppSpec::new("db", move |a| {
+    AppSpec::new("db", move |a| {
         tiers::emit_db_query(a, &pdb);
     })
-    .export("db_query", sig, IsoProps::STACK_CONF | IsoProps::REG_INTEGRITY)
+    .export("db_query", SIG, IsoProps::STACK_CONF | IsoProps::REG_INTEGRITY)
     .data("db_table", TABLE_ROWS * p.row_bytes)
     .data("db_qcount", 64)
-    .data("db_iobuf", p.row_bytes.max(64));
-    w.build(db);
+    .data("db_iobuf", p.row_bytes.max(64))
+}
 
-    // --- PHP process: exports `php_render`, imports `db_query` ---
+/// The PHP process: exports `php_render`, imports `db_query`.
+pub(crate) fn php_spec(p: &OltpParams) -> AppSpec {
     let pphp = p.clone();
-    let php = AppSpec::new("php", move |a| {
+    AppSpec::new("php", move |a| {
         tiers::emit_php_render(a, &pphp, &|a| {
             a.jal(RA, "call_db_db_query");
         });
     })
-    .export("php_render", sig, IsoProps::STACK_CONF)
-    .import_live("db", "db_query", sig, IsoProps::LOW, &[S0, S6, S7]);
-    w.build(php);
+    .export("php_render", SIG, IsoProps::STACK_CONF)
+    .import_live("db", "db_query", SIG, IsoProps::LOW, &[S0, S6, S7])
+}
+
+/// Builds the three-process dIPC stack.
+pub fn build(p: &OltpParams) -> Stack {
+    let mut w =
+        World::new(KernelConfig { cpus: p.cores, steal: p.steal, ..KernelConfig::default() });
+    w.build(db_spec(p));
+    w.build(php_spec(p));
 
     // --- Web process: primary threads, imports `php_render` ---
     // Under fault injection the call is wrapped in bounded
@@ -66,7 +73,7 @@ pub fn build(p: &OltpParams) -> Stack {
     });
     let live: &[u8] = if chaos { &[S1, S2, S3, S4, S5] } else { &[S1, S2] };
     let mut web = web
-        .import_live("php", "php_render", sig, IsoProps::LOW, live)
+        .import_live("php", "php_render", SIG, IsoProps::LOW, live)
         .data("counters", (p.concurrency * 8).max(64));
     if chaos {
         web = web.data("shed", (p.concurrency * 8).max(64));
@@ -83,11 +90,9 @@ pub fn build(p: &OltpParams) -> Stack {
     for i in 0..p.concurrency {
         w.spawn("web", "web_main", &[i]);
     }
-    let mut sys = w.sys;
     // dIPC processes share the global page table.
     let pt = simmem::Memory::GLOBAL_PT;
-    let _ = &mut sys;
-    Stack { sys, counters: (pt, counters), slots: p.concurrency, sheds }
+    Stack { sys: w.sys, counters: (pt, counters), slots: p.concurrency, sheds }
 }
 
 #[cfg(test)]

@@ -14,20 +14,16 @@
 //!   reservations with per-block suballocation), plus a conventional
 //!   per-process layout helper for non-dIPC processes.
 //! * [`mem`] — the [`mem::Memory`] façade combining physical memory and a set
-//!   of page tables, which the VM and kernel use for all accesses. It fronts
-//!   the page tables with a host-side translation cache (a pure host-speed
-//!   optimisation, invisible to the simulation).
+//!   of page tables, which the VM and kernel use for all accesses. Every
+//!   access walks the live page table; the crate keeps no host cache and
+//!   reads no environment, so it behaves the same under both `cdvm` engines.
 //! * [`idmap`] — [`IdMap`], the `HashMap` with a fixed integer hasher under
 //!   the page tables and the kernel's futex and syscall-filter tables.
-//! * [`fastpath`] — the process-wide engine switch (`CDVM_NO_FASTPATH`):
-//!   the fast engine with its host-side caches here and in `cdvm`, or the
-//!   cache-free reference interpreter.
 //!
 //! The design follows the paper's §6.1.3: dIPC-enabled processes share a
 //! single page table within a global virtual address space, while regular
 //! processes keep private page tables.
 
-pub mod fastpath;
 pub mod idmap;
 pub mod mem;
 pub mod page;
@@ -36,7 +32,6 @@ pub mod phys;
 pub mod tlb;
 pub mod vas;
 
-pub use fastpath::{fastpath_enabled, set_fastpath};
 pub use idmap::IdMap;
 pub use mem::{MemFault, Memory};
 pub use page::{DomainTag, PageFlags, PAGE_SHIFT, PAGE_SIZE};

@@ -6,27 +6,19 @@
 //! [`Memory::translate`] for the target page's [`Pte`], consults the CODOMs
 //! checker, and then performs the access).
 //!
-//! # Host translation cache
+//! Every access walks the live page table, an [`crate::IdMap`] from virtual
+//! page number to [`Pte`], on both execution engines: `Memory` keeps no host
+//! cache of its own and knows nothing of engines. Translation *cost* is the
+//! simulated [`crate::Tlb`]'s business, charged by the VM. The host-side
+//! caches in `cdvm` (superblocks, the data-operand cache) revalidate against
+//! [`Memory::table_generation`] and [`Memory::code_epoch`] on use.
 //!
-//! Every simulated access walks a `HashMap`-backed page table. That walk is
-//! the single hottest operation in the whole simulator, so [`Memory`] keeps a
-//! small direct-mapped *host* translation cache of `(page table, vpn) → Pte`
-//! in front of it. Entries carry the owning table's mutation generation and
-//! are only served while the generation still matches, so any `map`, `unmap`,
-//! `protect` or `set_tag` implicitly invalidates them — there is no explicit
-//! shootdown to forget. The cdvm superblock cache and data-operand cache
-//! consume [`Memory::table_generation`] the same way: every cached block,
-//! chain hint and operand translation revalidates against it (blocks also
-//! against the code epoch) on use.
-//!
-//! The cache is invisible to the simulation: it is *not* the simulated
-//! [`crate::Tlb`] (whose hit/miss cycle accounting is charged by the VM and
-//! must not change), it only removes host-side hash lookups. It belongs to
-//! the fast engine: under `CDVM_NO_FASTPATH=1` (see [`crate::fastpath`]) the
-//! reference interpreter walks the table on every access, which the
-//! differential tests use to prove cycle/fault equivalence.
+//! Byte copies ([`Memory::read`], [`Memory::write`] and their supervisor
+//! twins [`Memory::kread`], [`Memory::kwrite`]) share one page walker that
+//! validates every page before it copies, so a faulting copy is
+//! all-or-nothing and reports the first bad page.
 
-use core::cell::Cell;
+use core::ops::Range;
 
 use crate::page::{page_offset, Access, DomainTag, PageFlags, PAGE_SIZE};
 use crate::pagetable::{PageTable, PageTableId, Pte};
@@ -71,35 +63,10 @@ impl core::fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-/// Number of slots in the direct-mapped host translation cache.
-const TCACHE_SLOTS: usize = 1024;
-
-/// One host-translation-cache entry. `pt == usize::MAX` marks an empty slot.
-#[derive(Clone, Copy)]
-struct TransEntry {
-    pt: usize,
-    vpn: u64,
-    gen: u64,
-    pte: Pte,
-}
-
-impl TransEntry {
-    const EMPTY: TransEntry = TransEntry {
-        pt: usize::MAX,
-        vpn: 0,
-        gen: 0,
-        pte: Pte { frame: FrameId(0), flags: PageFlags::NONE, tag: DomainTag(0) },
-    };
-}
-
 /// Physical memory plus the set of page tables in the machine.
 pub struct Memory {
     phys: PhysMem,
     tables: Vec<PageTable>,
-    /// Host translation cache; `Cell` because lookups happen on `&self`
-    /// read paths. Never consulted when `fastpath` is off.
-    tcache: Box<[Cell<TransEntry>]>,
-    fastpath: bool,
 }
 
 impl Default for Memory {
@@ -114,12 +81,7 @@ impl Memory {
     /// Page table 0 is, by convention, the shared global page table of all
     /// dIPC-enabled processes and the kernel (§6.1.3).
     pub fn new() -> Memory {
-        Memory {
-            phys: PhysMem::new(),
-            tables: vec![PageTable::new()],
-            tcache: vec![Cell::new(TransEntry::EMPTY); TCACHE_SLOTS].into_boxed_slice(),
-            fastpath: crate::fastpath::fastpath_enabled(),
-        }
+        Memory { phys: PhysMem::new(), tables: vec![PageTable::new()] }
     }
 
     /// The shared global page table id.
@@ -157,12 +119,6 @@ impl Memory {
         self.tables[pt.0].generation()
     }
 
-    /// True if this memory consults its host translation cache.
-    #[inline]
-    pub fn fastpath(&self) -> bool {
-        self.fastpath
-    }
-
     /// Returns a page table by id.
     pub fn table(&self, id: PageTableId) -> &PageTable {
         &self.tables[id.0]
@@ -170,9 +126,9 @@ impl Memory {
 
     /// Returns a mutable page table by id.
     ///
-    /// Direct edits are safe with respect to the host caches: every
-    /// [`PageTable`] mutation bumps its generation, which the caches
-    /// validate on each lookup.
+    /// Direct edits are safe with respect to the `cdvm` host caches: every
+    /// [`PageTable`] mutation bumps its generation, which they validate on
+    /// each use.
     pub fn table_mut(&mut self, id: PageTableId) -> &mut PageTable {
         &mut self.tables[id.0]
     }
@@ -216,193 +172,171 @@ impl Memory {
         self.tables[pt.0].map(base, Pte { frame, flags, tag });
     }
 
-    /// Looks up the PTE for `addr` without any protection check, going
-    /// through the host translation cache when enabled.
-    #[inline]
-    fn lookup_cached(&self, pt: PageTableId, addr: u64) -> Option<Pte> {
-        let table = &self.tables[pt.0];
-        if !self.fastpath {
-            return table.lookup(addr);
-        }
-        let vpn = crate::page::vpn(addr);
-        let gen = table.generation();
-        let idx = (vpn as usize ^ pt.0.wrapping_mul(0x9e37_79b9)) & (TCACHE_SLOTS - 1);
-        let e = self.tcache[idx].get();
-        if e.pt == pt.0 && e.vpn == vpn && e.gen == gen {
-            return Some(e.pte);
-        }
-        let pte = table.lookup(addr)?;
-        self.tcache[idx].set(TransEntry { pt: pt.0, vpn, gen, pte });
-        Some(pte)
-    }
-
-    /// Looks up the PTE for `addr` without any protection check, going
-    /// through the host translation cache. Kernel-mode accesses use this to
-    /// bypass protection bits while still requiring a mapping.
+    /// Looks up the PTE for `addr` without any protection check. Kernel-mode
+    /// accesses use this to bypass protection bits while still requiring a
+    /// mapping.
     #[inline]
     pub fn lookup_pte(&self, pt: PageTableId, addr: u64) -> Option<Pte> {
-        self.lookup_cached(pt, addr)
+        self.tables[pt.0].lookup(addr)
     }
 
     /// Translates `addr`, checking the conventional protection bit for
     /// `access`. Returns the PTE (including the CODOMs tag) on success.
     #[inline]
     pub fn translate(&self, pt: PageTableId, addr: u64, access: Access) -> Result<Pte, MemFault> {
-        let pte = self.lookup_cached(pt, addr).ok_or(MemFault::Unmapped { addr })?;
-        if !pte.flags.contains(access.required_flag()) {
-            return Err(MemFault::Protection { addr, access });
-        }
-        Ok(pte)
+        resolve(&self.tables[pt.0], addr, Some(access))
     }
 
     /// Reads `buf.len()` bytes at `addr`, honoring protection bits. Reads may
     /// cross page boundaries.
     pub fn read(&self, pt: PageTableId, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
-        // Within-page fast path: one translation, one slice copy.
-        if !buf.is_empty() && page_offset(addr) as usize + buf.len() <= PAGE_SIZE as usize {
-            let pte = self.translate(pt, addr, Access::Read)?;
-            self.phys.read(pte.frame, page_offset(addr), buf);
-            return Ok(());
-        }
-        self.walk(pt, addr, buf.len(), Access::Read, |phys, frame, off, range| {
-            phys.read(frame, off, &mut buf[range]);
-        })
+        self.load(pt, addr, buf, Some(Access::Read))
     }
 
-    /// Writes `buf` at `addr`, honoring protection bits.
+    /// Writes `buf` at `addr`, honoring protection bits. A write that faults
+    /// on any page modifies none.
     pub fn write(&mut self, pt: PageTableId, addr: u64, buf: &[u8]) -> Result<(), MemFault> {
-        if !buf.is_empty() && page_offset(addr) as usize + buf.len() <= PAGE_SIZE as usize {
-            let pte = self.translate(pt, addr, Access::Write)?;
-            self.phys.write(pte.frame, page_offset(addr), buf);
-            return Ok(());
-        }
-        // Validate all pages first so a faulting write is all-or-nothing.
-        let mut checked = 0usize;
-        while checked < buf.len() {
-            let a = addr + checked as u64;
-            self.translate(pt, a, Access::Write)?;
-            checked += (PAGE_SIZE - page_offset(a)) as usize;
-        }
-        let mut done = 0usize;
-        while done < buf.len() {
-            let a = addr + done as u64;
-            let pte = self.lookup_cached(pt, a).expect("validated above");
-            let off = page_offset(a);
-            let n = ((PAGE_SIZE - off) as usize).min(buf.len() - done);
-            self.phys.write(pte.frame, off, &buf[done..done + n]);
-            done += n;
-        }
-        Ok(())
+        self.store(pt, addr, buf, Some(Access::Write))
     }
 
     /// Reads a little-endian u64.
     pub fn read_u64(&self, pt: PageTableId, addr: u64) -> Result<u64, MemFault> {
-        if page_offset(addr) + 8 <= PAGE_SIZE {
-            let pte = self.translate(pt, addr, Access::Read)?;
-            return Ok(self.phys.read_u64(pte.frame, page_offset(addr)));
-        }
-        let mut b = [0u8; 8];
-        self.read(pt, addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
+        self.load_u64(pt, addr, Some(Access::Read))
     }
 
     /// Writes a little-endian u64.
     pub fn write_u64(&mut self, pt: PageTableId, addr: u64, v: u64) -> Result<(), MemFault> {
-        if page_offset(addr) + 8 <= PAGE_SIZE {
-            let pte = self.translate(pt, addr, Access::Write)?;
-            self.phys.write_u64(pte.frame, page_offset(addr), v);
-            return Ok(());
-        }
-        self.write(pt, addr, &v.to_le_bytes())
+        self.store_u64(pt, addr, v, Some(Access::Write))
     }
 
     /// Kernel ("supervisor") read that ignores protection bits — the
     /// simulated kernel accesses user memory through this, as a real kernel
     /// would with its supervisor mappings. Only mapping is required.
     pub fn kread(&self, pt: PageTableId, addr: u64, buf: &mut [u8]) -> Result<(), MemFault> {
-        if !buf.is_empty() && page_offset(addr) as usize + buf.len() <= PAGE_SIZE as usize {
-            let pte = self.lookup_cached(pt, addr).ok_or(MemFault::Unmapped { addr })?;
-            self.phys.read(pte.frame, page_offset(addr), buf);
-            return Ok(());
-        }
-        let mut done = 0usize;
-        while done < buf.len() {
-            let a = addr + done as u64;
-            let pte = self.lookup_cached(pt, a).ok_or(MemFault::Unmapped { addr: a })?;
-            let off = page_offset(a);
-            let n = ((PAGE_SIZE - off) as usize).min(buf.len() - done);
-            self.phys.read(pte.frame, off, &mut buf[done..done + n]);
-            done += n;
-        }
-        Ok(())
+        self.load(pt, addr, buf, None)
     }
 
     /// Kernel write that ignores protection bits (but still requires the
-    /// pages to be mapped).
+    /// pages to be mapped). A write that faults on any page modifies none.
     pub fn kwrite(&mut self, pt: PageTableId, addr: u64, buf: &[u8]) -> Result<(), MemFault> {
-        if !buf.is_empty() && page_offset(addr) as usize + buf.len() <= PAGE_SIZE as usize {
-            let pte = self.lookup_cached(pt, addr).ok_or(MemFault::Unmapped { addr })?;
-            self.phys.write(pte.frame, page_offset(addr), buf);
-            return Ok(());
-        }
-        let mut checked = 0usize;
-        while checked < buf.len() {
-            let a = addr + checked as u64;
-            self.lookup_cached(pt, a).ok_or(MemFault::Unmapped { addr: a })?;
-            checked += (PAGE_SIZE - page_offset(a)) as usize;
-        }
-        let mut done = 0usize;
-        while done < buf.len() {
-            let a = addr + done as u64;
-            let pte = self.lookup_cached(pt, a).expect("validated above");
-            let off = page_offset(a);
-            let n = ((PAGE_SIZE - off) as usize).min(buf.len() - done);
-            self.phys.write(pte.frame, off, &buf[done..done + n]);
-            done += n;
-        }
-        Ok(())
+        self.store(pt, addr, buf, None)
     }
 
     /// Kernel u64 read.
     pub fn kread_u64(&self, pt: PageTableId, addr: u64) -> Result<u64, MemFault> {
-        if page_offset(addr) + 8 <= PAGE_SIZE {
-            let pte = self.lookup_cached(pt, addr).ok_or(MemFault::Unmapped { addr })?;
-            return Ok(self.phys.read_u64(pte.frame, page_offset(addr)));
-        }
-        let mut b = [0u8; 8];
-        self.kread(pt, addr, &mut b)?;
-        Ok(u64::from_le_bytes(b))
+        self.load_u64(pt, addr, None)
     }
 
     /// Kernel u64 write.
     pub fn kwrite_u64(&mut self, pt: PageTableId, addr: u64, v: u64) -> Result<(), MemFault> {
-        if page_offset(addr) + 8 <= PAGE_SIZE {
-            let pte = self.lookup_cached(pt, addr).ok_or(MemFault::Unmapped { addr })?;
-            self.phys.write_u64(pte.frame, page_offset(addr), v);
-            return Ok(());
-        }
-        self.kwrite(pt, addr, &v.to_le_bytes())
+        self.store_u64(pt, addr, v, None)
     }
 
-    fn walk(
+    fn load(
         &self,
         pt: PageTableId,
         addr: u64,
-        len: usize,
-        access: Access,
-        mut f: impl FnMut(&PhysMem, FrameId, u64, core::ops::Range<usize>),
+        buf: &mut [u8],
+        access: Option<Access>,
     ) -> Result<(), MemFault> {
-        let mut done = 0usize;
-        while done < len {
-            let a = addr + done as u64;
-            let pte = self.translate(pt, a, access)?;
-            let off = page_offset(a);
-            let n = ((PAGE_SIZE - off) as usize).min(len - done);
-            f(&self.phys, pte.frame, off, done..done + n);
-            done += n;
-        }
-        Ok(())
+        walk(&self.tables[pt.0], addr, buf.len(), access, |frame, off, range| {
+            self.phys.read(frame, off, &mut buf[range]);
+        })
     }
+
+    fn store(
+        &mut self,
+        pt: PageTableId,
+        addr: u64,
+        buf: &[u8],
+        access: Option<Access>,
+    ) -> Result<(), MemFault> {
+        let phys = &mut self.phys;
+        walk(&self.tables[pt.0], addr, buf.len(), access, |frame, off, range| {
+            phys.write(frame, off, &buf[range]);
+        })
+    }
+
+    fn load_u64(
+        &self,
+        pt: PageTableId,
+        addr: u64,
+        access: Option<Access>,
+    ) -> Result<u64, MemFault> {
+        if page_offset(addr) + 8 <= PAGE_SIZE {
+            let pte = resolve(&self.tables[pt.0], addr, access)?;
+            return Ok(self.phys.read_u64(pte.frame, page_offset(addr)));
+        }
+        let mut b = [0u8; 8];
+        self.load(pt, addr, &mut b, access)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
+    fn store_u64(
+        &mut self,
+        pt: PageTableId,
+        addr: u64,
+        v: u64,
+        access: Option<Access>,
+    ) -> Result<(), MemFault> {
+        if page_offset(addr) + 8 <= PAGE_SIZE {
+            let pte = resolve(&self.tables[pt.0], addr, access)?;
+            self.phys.write_u64(pte.frame, page_offset(addr), v);
+            return Ok(());
+        }
+        self.store(pt, addr, &v.to_le_bytes(), access)
+    }
+}
+
+/// Resolves the page holding `addr`, checking the protection bit `access`
+/// requires (`None`: a supervisor access, which needs only the mapping).
+#[inline]
+fn resolve(table: &PageTable, addr: u64, access: Option<Access>) -> Result<Pte, MemFault> {
+    let pte = table.lookup(addr).ok_or(MemFault::Unmapped { addr })?;
+    match access {
+        Some(access) if !pte.flags.contains(access.required_flag()) => {
+            Err(MemFault::Protection { addr, access })
+        }
+        _ => Ok(pte),
+    }
+}
+
+/// The page walker under every byte copy: resolves each page of
+/// `addr..addr + len` with [`resolve`] and hands `f` the page's frame, the
+/// offset in it and the matching range of the caller's buffer. Every page
+/// is validated before `f` first runs, so a copy that faults copies
+/// nothing; the fault is the lowest failing page's.
+fn walk(
+    table: &PageTable,
+    addr: u64,
+    len: usize,
+    access: Option<Access>,
+    mut f: impl FnMut(FrameId, u64, Range<usize>),
+) -> Result<(), MemFault> {
+    let off = page_offset(addr);
+    if off as usize + len <= PAGE_SIZE as usize {
+        // Within one page: one translation, one copy.
+        if len > 0 {
+            f(resolve(table, addr, access)?.frame, off, 0..len);
+        }
+        return Ok(());
+    }
+    let mut checked = 0usize;
+    while checked < len {
+        let a = addr + checked as u64;
+        resolve(table, a, access)?;
+        checked += (PAGE_SIZE - page_offset(a)) as usize;
+    }
+    let mut done = 0usize;
+    while done < len {
+        let a = addr + done as u64;
+        let frame = table.lookup(a).expect("validated above").frame;
+        let off = page_offset(a);
+        let n = ((PAGE_SIZE - off) as usize).min(len - done);
+        f(frame, off, done..done + n);
+        done += n;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -457,10 +391,23 @@ mod tests {
         // Second page becomes read-only; a write spanning both must not
         // modify the first page.
         m.table_mut(pt).protect(0x2000, PageFlags::READ);
-        m.write_u64(pt, 0x1ff0, 0).unwrap();
+        m.write_u64(pt, 0x1ff8, 0).unwrap();
         let err = m.write(pt, 0x1ffc, &[0xff; 8]).unwrap_err();
         assert!(matches!(err, MemFault::Protection { .. }));
-        assert_eq!(m.read_u64(pt, 0x1ff0).unwrap(), 0, "no partial write");
+        assert_eq!(m.read_u64(pt, 0x1ff8).unwrap(), 0, "no partial write");
+    }
+
+    #[test]
+    fn failed_cross_page_kernel_copy_is_atomic() {
+        let (mut m, pt) = setup();
+        // 0x1000..0x3000 is mapped; a kernel copy from 0x2ffc runs into the
+        // unmapped 0x3000 and must fault there without touching 0x2ffc.
+        m.kwrite_u64(pt, 0x2ff8, 0).unwrap();
+        let fault = MemFault::Unmapped { addr: 0x3000 };
+        assert_eq!(m.kwrite(pt, 0x2ffc, &[0xff; 8]), Err(fault));
+        assert_eq!(m.kread_u64(pt, 0x2ff8).unwrap(), 0, "no partial kernel write");
+        let mut b = [0u8; 8];
+        assert_eq!(m.kread(pt, 0x2ffc, &mut b), Err(fault));
     }
 
     #[test]
@@ -498,7 +445,6 @@ mod tests {
     fn translation_cache_sees_remap() {
         let (mut m, pt) = setup();
         m.write_u64(pt, 0x1000, 0xAAAA).unwrap();
-        // Warm the cache.
         assert_eq!(m.read_u64(pt, 0x1000).unwrap(), 0xAAAA);
         // Remap the page to a fresh (zeroed) frame.
         m.unmap(pt, 0x1000, 1);
@@ -509,7 +455,7 @@ mod tests {
     #[test]
     fn translation_cache_sees_protect() {
         let (mut m, pt) = setup();
-        m.write_u64(pt, 0x1000, 1).unwrap(); // warm
+        m.write_u64(pt, 0x1000, 1).unwrap();
         m.table_mut(pt).protect(0x1000, PageFlags::READ);
         assert!(m.write_u64(pt, 0x1000, 2).is_err(), "stale flags served after protect");
     }
@@ -517,7 +463,7 @@ mod tests {
     #[test]
     fn translation_cache_sees_set_tag() {
         let (mut m, pt) = setup();
-        let _ = m.translate(pt, 0x1000, Access::Read).unwrap(); // warm
+        let _ = m.translate(pt, 0x1000, Access::Read).unwrap();
         m.table_mut(pt).set_tag(0x1000, DomainTag(9));
         assert_eq!(m.translate(pt, 0x1000, Access::Read).unwrap().tag, DomainTag(9));
     }

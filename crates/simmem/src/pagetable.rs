@@ -29,9 +29,9 @@ pub struct Pte {
 pub struct PageTable {
     entries: IdMap<u64, Pte>,
     /// Monotonic generation, bumped on *any* mutation (map, unmap, protect,
-    /// set_tag). The host-side translation, block and operand caches
-    /// validate against it, so every mapping edit implicitly invalidates
-    /// them; tests also use it for TLB-coherence assertions.
+    /// set_tag). The `cdvm` block and operand caches validate against it,
+    /// so every mapping edit implicitly invalidates them; tests also use it
+    /// for TLB-coherence assertions.
     generation: u64,
 }
 

@@ -258,9 +258,9 @@ fn readme_env_table_names_only_variables_the_code_reads() {
 #[test]
 fn only_bench_and_the_engine_switch_read_the_environment() {
     // Libraries take explicit parameters; the harness reads knobs in one
-    // place (`bench::knob`/`bench::flag`/`bench::banner`) and `simmem`
+    // place (`bench::knob`/`bench::flag`/`bench::banner`) and `cdvm`
     // owns the one engine switch.
-    let allowed = ["crates/bench/src/lib.rs", "crates/simmem/src/fastpath.rs"];
+    let allowed = ["crates/bench/src/lib.rs", "crates/cdvm/src/fastpath.rs"];
     let offenders: Vec<String> = non_test_sources()
         .into_iter()
         .filter(|(path, code)| code.contains("env::var") && !allowed.contains(&path.as_str()))

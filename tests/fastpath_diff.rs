@@ -1,7 +1,7 @@
 //! Differential proof that the fast engine is invisible: the same programs,
 //! run on the reference interpreter (no host cache of any kind) and on the
 //! fast engine (superblocks, crossing descriptors, operand cache, threaded
-//! handlers, host translation cache), must produce identical simulated
+//! handlers), must produce identical simulated
 //! cycles, retired counts, faults, and byte-identical trace output.
 //!
 //! Two layers:
@@ -11,7 +11,7 @@
 //!    metrics summary is compared after dropping the `host.*`
 //!    cache-telemetry counters, which legitimately differ — everything
 //!    simulated must match exactly);
-//!  * in-process CPU-level checks (via `simmem::set_fastpath`) covering
+//!  * in-process CPU-level checks (via `cdvm::set_fastpath`) covering
 //!    fault paths a figure binary never takes, driven through `Cpu::run`
 //!    so the block engine engages.
 
@@ -85,9 +85,9 @@ const DATA: u64 = 0x20_000;
 fn machine(fast: bool) -> (Memory, Cpu) {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simmem::set_fastpath(Some(fast));
+    cdvm::set_fastpath(Some(fast));
     let (mem, mut cpu) = (Memory::new(), Cpu::new(0));
-    simmem::set_fastpath(None);
+    cdvm::set_fastpath(None);
     cpu.pc = CODE;
     cpu.cur_dom = DomainTag(1);
     cpu.thread = 1;

@@ -559,11 +559,11 @@ fn revocation_injection_is_identical_on_both_engines() {
     // interpreter, which has no descriptor to serve.
     let plan = |seed| FaultPlan::new(seed).rate(Site::Revoke, 0.005);
     for seed in [4u64, 13] {
-        simmem::set_fastpath(Some(false));
+        cdvm::set_fastpath(Some(false));
         let reference = run_micro(Some(plan(seed)));
-        simmem::set_fastpath(Some(true));
+        cdvm::set_fastpath(Some(true));
         let fast = run_micro(Some(plan(seed)));
-        simmem::set_fastpath(None);
+        cdvm::set_fastpath(None);
         assert!(fast.injections > 0, "seed {seed}: plan injected nothing");
         assert_eq!(reference.log, fast.log, "seed {seed}: injection logs diverged");
         assert_eq!(reference.final_cycles, fast.final_cycles, "seed {seed}: cycles diverged");
