@@ -1,6 +1,12 @@
 //! Benchmark harness support: shared formatting and scaling knobs for the
-//! per-figure/per-table binaries (`fig1`, `fig2`, `tab1`, `fig5`, `fig6`,
-//! `fig7`, `fig8`, `ablation_policies`, `sensitivity`).
+//! 17 binaries in `src/bin`:
+//! - one per paper figure or table: `fig1`, `fig2`, `tab1`, `fig5`, `fig6`,
+//!   `fig7`, `fig8`, `ablation_policies` (§7.2), `sensitivity` (§7.5) and
+//!   `headlines` (the abstract's ratios);
+//! - `ablation_sim`: do those conclusions survive slower dIPC hardware;
+//! - JSON benchmarks writing `results/BENCH_*.json`: `asyncbench`,
+//!   `chaos`, `pluginbench`, `prodbench`, `smpscale` and `simspeed` (host
+//!   simulation speed).
 //!
 //! Every binary prints the Table 3 machine banner, the paper's expected
 //! values where applicable, and the regenerated rows/series. Absolute

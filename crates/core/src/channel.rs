@@ -84,30 +84,6 @@ pub struct ChanRec {
     pub closed: bool,
 }
 
-/// A [`GuestRing`] view rooted at a channel's request ring, with a helper
-/// to rebase onto the reply ring.
-pub struct ChanMem<'a> {
-    mem: &'a mut simmem::Memory,
-    pt: PageTableId,
-    base: u64,
-}
-
-impl ChanMem<'_> {
-    /// A view of the ring at `base` (request or reply).
-    pub fn at(&mut self, base: u64) -> GuestRing<'_> {
-        GuestRing { mem: self.mem, pt: self.pt, base }
-    }
-}
-
-impl aring::RingMem for ChanMem<'_> {
-    fn ld(&self, off: u64) -> u64 {
-        self.mem.kread_u64(self.pt, self.base + off).expect("ring unmapped")
-    }
-    fn st(&mut self, off: u64, v: u64) {
-        self.mem.kwrite_u64(self.pt, self.base + off, v).expect("ring unmapped")
-    }
-}
-
 impl System {
     /// Mints a channel: allocates both rings in a fresh CODOMs domain
     /// owned by `consumer`, initializes them, and grants Write access to
@@ -177,10 +153,10 @@ impl System {
     }
 
     /// Memory view rooted at channel `id`'s request ring.
-    pub fn channel_mem(&mut self, id: usize) -> ChanMem<'_> {
+    pub fn channel_mem(&mut self, id: usize) -> GuestRing<'_> {
         let rec = &self.channels[id];
         let (pt, base) = (rec.pt, rec.req_base);
-        ChanMem { mem: &mut self.k.mem, pt, base }
+        GuestRing { mem: &mut self.k.mem, pt, base }
     }
 
     /// Poisons and closes channel `id`: CLOSED is raised on both rings and
@@ -200,8 +176,8 @@ impl System {
                 continue;
             }
             Ring::new(cfg).close(&mut GuestRing { mem: &mut self.k.mem, pt: rec.pt, base });
-            self.k.host_futex_wake(rec.pt, base + layout::CTRL_DOORBELL, usize::MAX);
-            self.k.host_futex_wake(rec.pt, base + layout::CTRL_WAITP, usize::MAX);
+            self.k.host_futex_wake_at(rec.pt, base + layout::CTRL_DOORBELL, usize::MAX, 0);
+            self.k.host_futex_wake_at(rec.pt, base + layout::CTRL_WAITP, usize::MAX, 0);
         }
     }
 

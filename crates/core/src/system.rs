@@ -34,7 +34,6 @@ use std::collections::{HashMap, HashSet};
 
 use cdvm::asm::Program;
 use cdvm::isa::reg;
-use cdvm::{Fault, FaultKind};
 use simkernel::accounting::TimeCat;
 use simkernel::percpu::{self, kcs, track};
 use simkernel::{KObject, KStep, Kernel, KernelConfig, Pid, ThreadState, Tid};
@@ -238,8 +237,7 @@ impl System {
     fn plugin_violation(&mut self, cpu: usize, tid: Tid, victim: Pid) -> u64 {
         *self.plugins.entry(victim.0).or_insert(0) += 1;
         if self.reaped.contains(&victim.0) {
-            let fault = Fault { pc: self.k.cpus[cpu].cpu.pc, kind: FaultKind::Crash };
-            if !self.unwind_running(cpu, tid, fault) {
+            if !self.unwind_running(cpu) {
                 if let Some(home) = self.k.threads.get(&tid).map(|t| t.home) {
                     self.kill_process(home);
                 }
@@ -717,7 +715,7 @@ impl System {
 
     /// Attempts to recover a faulting thread by unwinding its KCS to the
     /// nearest live caller. Returns `true` if recovered.
-    fn unwind_running(&mut self, cpu: usize, _tid: Tid, _fault: Fault) -> bool {
+    fn unwind_running(&mut self, cpu: usize) -> bool {
         let top = self.k.percpu_read(cpu, percpu::KCS_TOP);
         let kbase = self.k.percpu_read(cpu, percpu::KCS_BASE);
         let Some((e, _, ret_addr, dom)) = self.kcs_live_caller(top, kbase) else { return false };
@@ -758,9 +756,7 @@ impl System {
         t.pending_syscall = None;
         t.cur_pid = caller_pid;
         if matches!(t.state, ThreadState::Blocked(_)) {
-            t.state = ThreadState::Runnable;
-            let (affinity, last_cpu, ready_at) = (t.affinity, t.last_cpu, t.ready_at);
-            self.k.enqueue(affinity.unwrap_or(last_cpu), tid, ready_at, affinity.is_some());
+            self.k.make_runnable(tid, 0);
         }
         self.unwinds += 1;
         simtrace::counter("unwinds", 1);
@@ -835,21 +831,12 @@ impl System {
             .map(|t| t.tid)
             .collect();
         for tid in visitors {
-            match self.k.threads[&tid].state {
-                ThreadState::Running(cpu) => {
-                    // Force the saved view to match the live CPU, then
-                    // unwind through the running path.
-                    let fault = Fault { pc: self.k.cpus[cpu].cpu.pc, kind: FaultKind::Crash };
-                    if !self.unwind_running(cpu, tid, fault) {
-                        self.k.cpus[cpu].current = None;
-                        self.k.kill_process(self.k.threads[&tid].home);
-                    }
-                }
-                _ => {
-                    if !self.unwind_saved(tid) {
-                        self.k.kill_process(self.k.threads[&tid].home);
-                    }
-                }
+            let rescued = match self.k.threads[&tid].state {
+                ThreadState::Running(cpu) => self.unwind_running(cpu),
+                _ => self.unwind_saved(tid),
+            };
+            if !rescued {
+                self.k.kill_process(self.k.threads[&tid].home);
             }
         }
         self.k.kill_process(pid);
@@ -957,15 +944,10 @@ impl System {
         self.k.mem.kwrite(Memory::GLOBAL_PT, new_base, &buf).expect("fresh page mapped");
         let new_top = new_base + copy_len as u64;
 
-        let (orig_dcs, orig_home) = {
-            let t = &self.k.threads[&tid];
-            let dcs = match running_cpu {
-                Some(cpu) => self.k.cpus[cpu].cpu.dcs,
-                None => t.ctx.dcs,
-            };
-            (dcs, t.home)
+        let orig_dcs = match running_cpu {
+            Some(cpu) => self.k.cpus[cpu].cpu.dcs,
+            None => self.k.threads[&tid].ctx.dcs,
         };
-        let _ = orig_home;
         let mut ctx = simkernel::ThreadCtx::at(ret_addr, Memory::GLOBAL_PT, proxy_dom);
         ctx.regs[reg::A0 as usize] = DIPC_ERR_TIMEDOUT;
         ctx.dcs = orig_dcs;
@@ -1007,7 +989,7 @@ impl System {
 
         // --- The callee side: rewrite its (now truncated) KCS so that
         // returning into the split proxy self-destructs the thread ---
-        let gadget = self.exit_gadget(caller_pid);
+        let gadget = self.exit_gadget();
         let wr = |mem: &mut simmem::Memory, off, v| {
             mem.kwrite_u64(Memory::GLOBAL_PT, kcs_base + off, v).expect("kcs mapped")
         };
@@ -1035,7 +1017,7 @@ impl System {
     /// Lazily creates the shared thread-exit gadget: one `Halt` instruction
     /// on an executable kernel-shared page (proxies can jump into the
     /// kernel-shared domain, which their APL grants).
-    fn exit_gadget(&mut self, _for_pid: Pid) -> u64 {
+    fn exit_gadget(&mut self) -> u64 {
         if let Some(g) = self.exit_gadget {
             return g;
         }
@@ -1069,14 +1051,14 @@ impl System {
                 self.k.syscall_return(cpu, ret);
                 SysStep::Progress
             }
-            KStep::UserFault { cpu, tid, fault } => {
+            KStep::UserFault { cpu, tid, .. } => {
                 let victim = self.k.current_pid(cpu);
                 if self.plugins.contains_key(&victim.0) {
                     // APL violation (or crash) inside a sandboxed plugin:
                     // fatal-on-violation escalates to kill-and-reclaim; the
                     // visiting caller is rescued/unwound by the kill itself.
                     self.plugin_violation(cpu, tid, victim);
-                } else if !self.unwind_running(cpu, tid, fault) {
+                } else if !self.unwind_running(cpu) {
                     // No live caller on the KCS: conventional crash — kill
                     // the process the thread is executing in.
                     self.kill_process(victim);
@@ -1209,16 +1191,7 @@ impl System {
 
     /// Runs to completion (panics on deadlock or unexpected externals).
     pub fn run_to_completion(&mut self) {
-        loop {
-            match self.step() {
-                SysStep::Progress => {}
-                SysStep::Finished => return,
-                SysStep::Deadlock => panic!("simulation deadlock"),
-                SysStep::External { class, .. } => {
-                    panic!("unhandled external event class {class}")
-                }
-            }
-        }
+        self.run_until(|_| false);
     }
 
     /// Runs until `pred` holds (checked after every step) or completion.
@@ -1242,7 +1215,7 @@ impl System {
     // VM-level dIPC syscalls.
     // ------------------------------------------------------------------
 
-    fn dipc_syscall(&mut self, cpu: usize, _tid: Tid, nr: u64, args: [u64; 6]) -> u64 {
+    fn dipc_syscall(&mut self, cpu: usize, tid: Tid, nr: u64, args: [u64; 6]) -> u64 {
         // All dIPC management requests go through the regular syscall path
         // (§7.1: "all system requests are performed through Linux's regular
         // syscall path").
@@ -1255,7 +1228,7 @@ impl System {
         // cold path executes it while the plugin is still the tracked
         // process, and it is capability-checked on its own).
         if self.plugins.contains_key(&pid.0) && nr != dsys::TRACK_RESOLVE {
-            return self.plugin_violation(cpu, _tid, pid);
+            return self.plugin_violation(cpu, tid, pid);
         }
         match nr {
             dsys::TRACK_RESOLVE => {
@@ -1276,8 +1249,7 @@ impl System {
                 // resolve` forever; its KCS entry is already pushed (the
                 // push precedes the tracking lookup precisely so this works),
                 // so unwind to the nearest live caller and surface the error.
-                let fault = Fault { pc: self.k.cpus[cpu].cpu.pc, kind: FaultKind::Crash };
-                if !self.unwind_running(cpu, _tid, fault) {
+                if !self.unwind_running(cpu) {
                     let victim = self.k.current_pid(cpu);
                     self.kill_process(victim);
                 }
@@ -1324,7 +1296,7 @@ impl System {
                 if !self.plugins.contains_key(&victim.0) {
                     return EINVAL;
                 }
-                self.plugin_violation(cpu, _tid, victim)
+                self.plugin_violation(cpu, tid, victim)
             }
             dsys::DOM_REMAP => {
                 let (Some(d), Some(s)) = (

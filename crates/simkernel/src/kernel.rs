@@ -43,6 +43,7 @@ use crate::event::{Event, EventQueue};
 use crate::object::{drain_into, KObject, Listener, Pipe, Shm, Sock, Storage, VFile};
 use crate::percpu;
 use crate::process::{BlockReason, Pid, Process, Thread, ThreadCtx, ThreadState, Tid};
+use crate::sched::{Pick, RunQueues, RunqEntry};
 use crate::syscall::{err, errno, nr};
 use crate::table::DenseTable;
 
@@ -116,14 +117,6 @@ pub struct CpuSlot {
     pub cpu: Cpu,
     /// Thread currently on the CPU.
     pub current: Option<Tid>,
-    /// Local run queue. Private so that every edit goes through the
-    /// kernel's enqueue/dequeue helpers, which keep `runq_earliest` and the
-    /// entries' cached fields true.
-    runq: VecDeque<RunqEntry>,
-    /// Earliest `ready_at` among the queued threads (`u64::MAX` when the
-    /// queue is empty): what the per-step CPU pick and every slice's
-    /// deadline need, without walking the queue.
-    runq_earliest: u64,
     /// Time attribution.
     pub breakdown: TimeBreakdown,
     /// Cycle at which the current thread started its quantum.
@@ -134,33 +127,6 @@ pub struct CpuSlot {
     /// was resolved under (`u64::MAX`: not yet resolved). A `Cell` because
     /// [`Kernel::percpu_read`] re-resolves it on `&self`.
     percpu_frame: Cell<(FrameId, u64)>,
-}
-
-/// A queued thread with the two facts about it the scheduler scans for, so
-/// picking, stealing and the earliest-entry rescan read the queue alone. A
-/// queued thread's `ready_at` and affinity change only through
-/// `enqueue`/`dequeue*`, which makes the copies exact (debug builds check
-/// them against the thread table on every CPU pick and dequeue).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunqEntry {
-    /// The queued thread.
-    pub tid: Tid,
-    /// Its `Thread::ready_at`.
-    pub ready_at: u64,
-    /// Its `Thread::affinity.is_some()`: pinned threads are not stolen.
-    pub pinned: bool,
-}
-
-impl CpuSlot {
-    /// The local run queue, front first.
-    pub fn runq(&self) -> &VecDeque<RunqEntry> {
-        &self.runq
-    }
-
-    /// The definition `runq_earliest` caches.
-    fn scan_runq_earliest(&self) -> u64 {
-        self.runq.iter().map(|e| e.ready_at).min().unwrap_or(u64::MAX)
-    }
 }
 
 /// What [`Kernel::step_sim`] observed.
@@ -208,6 +174,13 @@ enum SysResult {
     Unknown,
 }
 
+/// The CPU a thread is queued on: its affinity, else the CPU it last ran
+/// on. The one placement rule; only a wake that sends an IPI under
+/// `WakePolicy::Spread` queues a thread anywhere else.
+fn home_cpu(t: &Thread) -> usize {
+    t.affinity.unwrap_or(t.last_cpu)
+}
+
 /// The simulated kernel.
 ///
 /// ```
@@ -239,6 +212,9 @@ pub struct Kernel {
     pub vas: GlobalVas,
     /// Per-CPU state.
     pub cpus: Vec<CpuSlot>,
+    /// The per-CPU run queues. Private: a thread is queued with its
+    /// `ready_at` and affinity, so only the kernel's own paths may queue it.
+    runqs: RunQueues,
     /// All processes, by id.
     pub procs: DenseTable<Pid, Process>,
     /// All threads, by id.
@@ -306,8 +282,6 @@ impl Kernel {
             cpus.push(CpuSlot {
                 cpu,
                 current: None,
-                runq: VecDeque::new(),
-                runq_earliest: u64::MAX,
                 breakdown: TimeBreakdown::new(),
                 quantum_start: 0,
                 percpu_base: base,
@@ -321,6 +295,7 @@ impl Kernel {
             domains,
             rev: RevocationTable::new(),
             vas: GlobalVas::new(),
+            runqs: RunQueues::new(cfg.cpus),
             cpus,
             procs: DenseTable::default(),
             threads: DenseTable::default(),
@@ -544,11 +519,10 @@ impl Kernel {
             exit_code: 0,
             cpu_time: 0,
         };
-        let cpu = thread.last_cpu;
         self.threads.insert(tid, thread);
         self.procs.get_mut(&pid).expect("checked").threads.push(tid);
         self.live_threads += 1;
-        self.enqueue(cpu, tid, 0, false);
+        self.make_runnable(tid, 0);
         tid
     }
 
@@ -563,7 +537,7 @@ impl Kernel {
     /// Pins a not-yet-run thread to a CPU, re-homing its run-queue entry.
     pub fn pin_thread(&mut self, tid: Tid, cpu: usize) {
         assert!(cpu < self.cpus.len(), "no such CPU");
-        self.dequeue(tid);
+        self.runqs.remove(tid);
         let t = self.threads.get_mut(&tid).expect("no such thread");
         assert!(
             matches!(t.state, ThreadState::Runnable),
@@ -571,57 +545,17 @@ impl Kernel {
         );
         t.affinity = Some(cpu);
         t.last_cpu = cpu;
-        let ready_at = t.ready_at;
-        self.enqueue(cpu, tid, ready_at, true);
+        self.make_runnable(tid, 0);
     }
 
-    /// Appends runnable thread `tid` to CPU `cpu`'s run queue. `ready_at`
-    /// and `pinned` are the thread's `ready_at` and `affinity.is_some()`,
-    /// final before it is queued (the queue entry carries both); every
-    /// caller has just written or read them, which saves a thread-table
-    /// lookup per wake.
-    pub fn enqueue(&mut self, cpu: usize, tid: Tid, ready_at: u64, pinned: bool) {
-        debug_assert_eq!(
-            (ready_at, pinned),
-            (self.threads[&tid].ready_at, self.threads[&tid].affinity.is_some())
-        );
-        let slot = &mut self.cpus[cpu];
-        slot.runq.push_back(RunqEntry { tid, ready_at, pinned });
-        slot.runq_earliest = slot.runq_earliest.min(ready_at);
-    }
-
-    /// Every entry of CPU `cpu`'s run queue agrees with the thread table,
-    /// and `runq_earliest` with the entries. Tier-1 runs this in debug
-    /// builds: any path that edits a queued thread's `ready_at` or
-    /// affinity, or the queue behind the helpers' back, trips it.
+    /// Every entry of CPU `cpu`'s run queue agrees with the thread table.
+    /// Tier-1 runs this in debug builds: any path that edits a queued
+    /// thread's `ready_at` or affinity trips it.
     fn runq_mirrors_threads(&self, cpu: usize) -> bool {
-        let slot = &self.cpus[cpu];
-        slot.runq_earliest == slot.scan_runq_earliest()
-            && slot.runq.iter().all(|e| {
-                let t = &self.threads[&e.tid];
-                (e.ready_at, e.pinned) == (t.ready_at, t.affinity.is_some())
-            })
-    }
-
-    /// Removes `tid` from whichever run queue holds it.
-    fn dequeue(&mut self, tid: Tid) {
-        for i in 0..self.cpus.len() {
-            while let Some(pos) = self.cpus[i].runq.iter().position(|e| e.tid == tid) {
-                self.dequeue_at(i, pos);
-            }
-        }
-    }
-
-    /// Removes and returns the entry at `pos` of CPU `cpu`'s run queue.
-    fn dequeue_at(&mut self, cpu: usize, pos: usize) -> RunqEntry {
-        debug_assert!(self.runq_mirrors_threads(cpu));
-        let slot = &mut self.cpus[cpu];
-        let e = slot.runq.remove(pos).expect("index valid");
-        // Only the removal of an earliest entry can move the minimum.
-        if e.ready_at <= slot.runq_earliest {
-            slot.runq_earliest = slot.scan_runq_earliest();
-        }
-        e
+        self.runqs.entries(cpu).all(|e| {
+            let t = &self.threads[&e.tid];
+            (e.ready_at, e.pinned) == (t.ready_at, t.affinity.is_some())
+        })
     }
 
     /// Registers a file in the VFS with a storage class.
@@ -783,7 +717,7 @@ impl Kernel {
             match self.step_sim() {
                 KStep::Progress => {}
                 KStep::Finished => return,
-                KStep::UserFault { cpu, tid, .. } => self.default_fault_kill(cpu, tid),
+                KStep::UserFault { tid, .. } => self.default_fault_kill(tid),
                 KStep::Deadlock => panic!("simulation deadlock"),
                 KStep::UnknownSyscall { nr, .. } => {
                     panic!("unknown syscall {nr} with no embedder")
@@ -793,8 +727,7 @@ impl Kernel {
     }
 
     /// Default fault policy: kill the whole process of the faulting thread.
-    pub fn default_fault_kill(&mut self, cpu: usize, tid: Tid) {
-        let _ = cpu;
+    pub fn default_fault_kill(&mut self, tid: Tid) {
         let pid = self.threads[&tid].cur_pid;
         self.kill_process(pid);
     }
@@ -805,7 +738,7 @@ impl Kernel {
             return Some(slot.cpu.cycles);
         }
         debug_assert!(self.runq_mirrors_threads(i));
-        (!slot.runq.is_empty()).then(|| slot.runq_earliest.max(slot.cpu.cycles))
+        self.runqs.earliest(i).map(|e| e.max(slot.cpu.cycles))
     }
 
     /// Earliest next action among the CPUs other than `i`.
@@ -893,7 +826,7 @@ impl Kernel {
         let preempt_bound = if self.cpus[i].cpu.cycles < quantum_end {
             quantum_end
         } else {
-            self.cpus[i].runq_earliest
+            self.runqs.earliest(i).unwrap_or(u64::MAX)
         };
         let max_slice = self.cpus[i].cpu.cycles + self.sys.max_slice;
         // Causality window: never run further than `sync_window` ahead of
@@ -928,7 +861,7 @@ impl Kernel {
             StepEvent::Retired => {
                 // Deadline. Preempt if the quantum expired and someone waits.
                 let clock = self.cpus[i].cpu.cycles;
-                if clock >= quantum_end && self.runq_has_ready(i, clock) {
+                if clock >= quantum_end && self.runqs.has_ready(i, clock) {
                     self.preempt(i);
                 }
                 KStep::Progress
@@ -1002,40 +935,13 @@ impl Kernel {
         }
     }
 
-    fn runq_has_ready(&self, i: usize, clock: u64) -> bool {
-        !self.cpus[i].runq.is_empty() && self.cpus[i].runq_earliest <= clock
-    }
-
-    /// Picks a `(victim cpu, runq position)` for CPU `i` to steal from:
-    /// the most-loaded sibling holding a thread that is ready by `clock`
-    /// and not pinned elsewhere (lowest CPU index breaks load ties; FIFO
-    /// order within the victim). Pure function of simulated state, so the
-    /// choice is deterministic.
-    fn steal_candidate(&self, i: usize, clock: u64) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, usize, usize)> = None; // (load, cpu, pos)
-        for j in 0..self.cpus.len() {
-            if j == i || !self.runq_has_ready(j, clock) {
-                continue;
-            }
-            let pos = self.cpus[j].runq.iter().position(|e| e.ready_at <= clock && !e.pinned);
-            if let Some(pos) = pos {
-                let load = self.cpus[j].runq.len();
-                if best.is_none_or(|(l, _, _)| load > l) {
-                    best = Some((load, j, pos));
-                }
-            }
-        }
-        best.map(|(_, j, pos)| (j, pos))
-    }
-
+    /// Puts CPU `i`'s thread back on its run queue, ready now.
     fn preempt(&mut self, i: usize) {
         let tid = self.cpus[i].current.expect("preempting a running thread");
         self.deschedule(i, ThreadState::Runnable);
         let clock = self.cpus[i].cpu.cycles;
-        let t = self.threads.get_mut(&tid).expect("exists");
-        t.ready_at = clock;
-        let affinity = t.affinity;
-        self.enqueue(affinity.unwrap_or(i), tid, clock, affinity.is_some());
+        self.threads.get_mut(&tid).expect("exists").ready_at = clock;
+        self.make_runnable(tid, clock);
     }
 
     /// Saves the current thread's context and marks it `state`.
@@ -1059,40 +965,21 @@ impl Kernel {
         let pick_cost = self.sys.sched_pick;
         self.charge(i, TimeCat::Sched, pick_cost);
         let clock = self.cpus[i].cpu.cycles;
-        // Prefer a thread that is ready now; with stealing enabled, an
-        // empty-handed CPU next raids the most-loaded sibling runqueue for
-        // a ready, unpinned thread; otherwise idle-advance to the earliest
-        // local ready_at.
-        let local = if self.runq_has_ready(i, clock) {
-            self.cpus[i].runq.iter().position(|e| e.ready_at <= clock)
-        } else {
-            None
+        let Some(Pick { entry: RunqEntry { tid, ready_at: ready, .. }, from }) =
+            self.runqs.pick(i, clock, self.steal)
+        else {
+            return false;
         };
-        let mut stolen = None;
-        if local.is_none() && self.steal {
-            if let Some((victim, vpos)) = self.steal_candidate(i, clock) {
-                // The remote-queue scan costs another scheduler pick.
-                self.charge(i, TimeCat::Sched, pick_cost);
-                stolen = Some(self.dequeue_at(victim, vpos));
-                if simtrace::enabled() {
-                    let now = self.cpus[i].cpu.cycles;
-                    simtrace::instant(simtrace::Track::Cpu(i), now, "steal", "sched");
-                    simtrace::counter("work_steals", 1);
-                }
+        let stolen = from != i;
+        if stolen {
+            // The remote-queue scan costs another scheduler pick.
+            self.charge(i, TimeCat::Sched, pick_cost);
+            if simtrace::enabled() {
+                let now = self.cpus[i].cpu.cycles;
+                simtrace::instant(simtrace::Track::Cpu(i), now, "steal", "sched");
+                simtrace::counter("work_steals", 1);
             }
         }
-        let RunqEntry { tid, ready_at: ready, .. } = match stolen {
-            Some(e) => e,
-            None => {
-                let pos = local.or_else(|| {
-                    let min =
-                        self.cpus[i].runq.iter().enumerate().min_by_key(|(_, e)| e.ready_at)?;
-                    Some(min.0)
-                });
-                let Some(pos) = pos else { return false };
-                self.dequeue_at(i, pos)
-            }
-        };
         if ready > clock {
             let idle = ready - clock;
             self.cpus[i].cpu.cycles = ready;
@@ -1119,7 +1006,7 @@ impl Kernel {
             simtrace::counter("context_switches", 1);
             simtrace::instant(simtrace::Track::Cpu(i), now, format!("run tid{}", tid.0), "sched");
         }
-        stolen.is_some()
+        stolen
     }
 
     /// Loads `tid`'s saved context and per-CPU words onto CPU `i`, straight
@@ -1149,39 +1036,45 @@ impl Kernel {
         }
     }
 
-    /// Makes a blocked thread runnable and routes it to a CPU, sending an
-    /// IPI if the target CPU is idle and remote.
-    fn make_runnable(&mut self, tid: Tid, at: u64) {
+    /// Makes a thread that is neither running nor queued (blocked, new, or
+    /// just descheduled) runnable no earlier than cycle `at`, on its home
+    /// CPU.
+    pub fn make_runnable(&mut self, tid: Tid, at: u64) {
+        let cpu = home_cpu(&self.threads[&tid]);
+        self.make_runnable_on(cpu, tid, at);
+    }
+
+    /// [`Kernel::make_runnable`] on a chosen CPU's queue.
+    fn make_runnable_on(&mut self, cpu: usize, tid: Tid, at: u64) {
         let t = self.threads.get_mut(&tid).expect("no such thread");
         debug_assert!(
-            matches!(t.state, ThreadState::Blocked(_)),
-            "make_runnable on non-blocked thread"
+            matches!(t.state, ThreadState::Blocked(_) | ThreadState::Runnable),
+            "make_runnable on a running or dead thread"
         );
         t.state = ThreadState::Runnable;
         t.ready_at = t.ready_at.max(at);
-        let (affinity, ready_at, last_cpu) = (t.affinity, t.ready_at, t.last_cpu);
-        self.enqueue(affinity.unwrap_or(last_cpu), tid, ready_at, affinity.is_some());
+        self.runqs.push(cpu, RunqEntry { tid, ready_at: t.ready_at, pinned: t.affinity.is_some() });
     }
 
-    /// Wakes `tid` from CPU `from` (futex wake, pipe data, …).
+    /// Wakes `tid` from CPU `from` (futex wake, pipe data, …), sending an
+    /// IPI if the target CPU is idle and remote.
     fn wake_from_cpu(&mut self, tid: Tid, from: usize) {
         let now = self.cpus[from].cpu.cycles;
-        let target = {
-            let t = &self.threads[&tid];
-            match (t.affinity, self.wake) {
-                (Some(a), _) => a,
-                (None, WakePolicy::Local) => t.last_cpu,
-                (None, WakePolicy::Spread) => {
-                    // Least-loaded CPU (running thread counts as load 1).
-                    (0..self.cpus.len())
-                        .min_by_key(|&i| {
-                            self.cpus[i].runq.len() + self.cpus[i].current.is_some() as usize
-                        })
-                        .unwrap_or(t.last_cpu)
-                }
-            }
+        let t = &self.threads[&tid];
+        let target = match self.wake {
+            // Least-loaded CPU (a running thread counts as load 1).
+            WakePolicy::Spread if t.affinity.is_none() => (0..self.cpus.len())
+                .min_by_key(|&i| self.runqs.len(i) + self.cpus[i].current.is_some() as usize)
+                .expect("a kernel has CPUs"),
+            _ => home_cpu(t),
         };
-        if target != from && self.cpus[target].current.is_none() {
+        if target == from || self.cpus[target].current.is_some() {
+            // No IPI: the thread goes on its home CPU's queue. Under
+            // `WakePolicy::Spread` that is its last CPU, not the busy or
+            // local target just chosen. `fig1` and `fig8` depend on this
+            // fallback.
+            self.make_runnable(tid, now);
+        } else {
             // Remote idle CPU: IPI (the dominant cross-CPU cost, §2.2).
             if simtrace::enabled() {
                 simtrace::counter("ipi_sent", 1);
@@ -1209,30 +1102,17 @@ impl Kernel {
             if !lost {
                 self.events.push(arrive, Event::Ipi { cpu: target });
             }
-            let t = self.threads.get_mut(&tid).expect("exists");
-            t.ready_at = t.ready_at.max(arrive);
-            t.state = ThreadState::Runnable;
-            let (ready_at, pinned) = (t.ready_at, t.affinity.is_some());
-            self.enqueue(target, tid, ready_at, pinned);
-        } else {
-            self.make_runnable(tid, now);
+            self.make_runnable_on(target, tid, arrive);
         }
     }
 
+    /// Ends CPU `i`'s thread with exit code `code` (`Halt` or `exit`).
     fn finish_thread(&mut self, i: usize, tid: Tid, code: u64) {
-        self.cpus[i].current = None;
+        debug_assert_eq!(self.cpus[i].current, Some(tid));
         let t = self.threads.get_mut(&tid).expect("exists");
-        t.state = ThreadState::Dead;
         t.exit_code = code;
-        self.live_threads -= 1;
         let home = t.home;
-        let all_dead = self.procs[&home]
-            .threads
-            .iter()
-            .all(|t| matches!(self.threads[t].state, ThreadState::Dead));
-        if all_dead {
-            self.procs.get_mut(&home).expect("exists").alive = false;
-        }
+        self.reap(home, &[tid]);
     }
 
     /// Kills a whole process (thread crash escalation, §5.2.1's process
@@ -1240,66 +1120,46 @@ impl Kernel {
     /// threads already dead and changes nothing.
     pub fn kill_process(&mut self, pid: Pid) {
         let tids = self.procs.get(&pid).map(|p| p.threads.clone()).unwrap_or_default();
+        self.reap(pid, &tids);
+    }
+
+    /// Kills a single thread (the host-driven `tkill` path). The rest of
+    /// its process keeps running; if it was the last live thread the
+    /// process dies with it. Killing a dead or unknown thread is a no-op.
+    pub fn kill_thread(&mut self, tid: Tid) {
+        if let Some(home) = self.threads.get(&tid).map(|t| t.home) {
+            self.reap(home, &[tid]);
+        }
+    }
+
+    /// The one thread-death path. Each live thread among `tids`, all of
+    /// process `pid`, is taken off its CPU or run queue, scrubbed out of
+    /// every futex waiter list (so stale entries cannot pile up across
+    /// kills) and marked dead; dead ones are skipped. Then, if `pid` has no
+    /// live thread left (or none at all), the process is dead too.
+    fn reap(&mut self, pid: Pid, tids: &[Tid]) {
         let mut died = Vec::new();
-        for tid in tids {
-            let state = self.threads[&tid].state;
-            match state {
+        for &tid in tids {
+            match self.threads[&tid].state {
                 ThreadState::Dead => continue,
-                ThreadState::Running(cpu) => {
-                    self.cpus[cpu].current = None;
-                    self.mark_dead(tid);
-                }
+                ThreadState::Running(cpu) => self.cpus[cpu].current = None,
                 ThreadState::Runnable => {
-                    self.dequeue(tid);
-                    self.mark_dead(tid);
+                    self.runqs.remove(tid);
                 }
-                ThreadState::Blocked(_) => self.mark_dead(tid),
+                ThreadState::Blocked(_) => {}
             }
+            self.threads.get_mut(&tid).expect("exists").state = ThreadState::Dead;
+            self.live_threads -= 1;
             died.push(tid);
         }
-        // Scrub the dead threads out of every futex waiter list so stale
-        // entries can't accumulate across many kills.
         if !died.is_empty() {
             for waiters in self.futexes.values_mut() {
                 waiters.retain(|t| !died.contains(t));
             }
         }
-        if let Some(p) = self.procs.get_mut(&pid) {
-            p.alive = false;
-        }
-    }
-
-    /// Kills a single thread (the host-driven `tkill` path): it is removed
-    /// from its CPU, run queues and futex waits and marked dead. The rest
-    /// of its process keeps running; if it was the last live thread the
-    /// process dies with it. Killing a dead or unknown thread is a no-op.
-    pub fn kill_thread(&mut self, tid: Tid) {
-        let Some(t) = self.threads.get(&tid) else { return };
-        match t.state {
-            ThreadState::Dead => return,
-            ThreadState::Running(cpu) => self.cpus[cpu].current = None,
-            ThreadState::Runnable => self.dequeue(tid),
-            ThreadState::Blocked(_) => {}
-        }
-        self.mark_dead(tid);
-        for waiters in self.futexes.values_mut() {
-            waiters.retain(|x| *x != tid);
-        }
-        let home = self.threads[&tid].home;
-        let all_dead = self.procs[&home]
-            .threads
-            .iter()
-            .all(|t| matches!(self.threads[t].state, ThreadState::Dead));
-        if all_dead {
-            self.procs.get_mut(&home).expect("exists").alive = false;
-        }
-    }
-
-    fn mark_dead(&mut self, tid: Tid) {
-        let t = self.threads.get_mut(&tid).expect("exists");
-        if !matches!(t.state, ThreadState::Dead) {
-            t.state = ThreadState::Dead;
-            self.live_threads -= 1;
+        let Some(p) = self.procs.get(&pid) else { return };
+        if p.threads.iter().all(|t| matches!(self.threads[t].state, ThreadState::Dead)) {
+            self.procs.get_mut(&pid).expect("exists").alive = false;
         }
     }
 
@@ -1727,41 +1587,34 @@ impl Kernel {
         let Some(key) = self.futex_key(pt, addr) else {
             return SysResult::Ret(err(errno::EFAULT));
         };
-        // Drain until `n` threads actually woke: stale entries (threads
-        // killed or unwound out of the wait) are discarded without
-        // consuming a wake slot, so a live waiter can never miss its
-        // wakeup to a dead one.
-        let mut woken = 0;
-        while woken < n as u64 {
-            let next = match self.futexes.get_mut(&key) {
-                Some(w) if !w.is_empty() => w.remove(0),
-                _ => break,
-            };
-            if self.wake_if_blocked(next, BlockReason::Futex(key), i) {
-                woken += 1;
-            }
-        }
-        SysResult::Ret(woken)
+        SysResult::Ret(self.futex_wake(key, n, i, 0))
     }
 
     /// Host-side futex wake (no syscall, no cycle charge): wakes up to `n`
-    /// threads parked on the word at `addr` under `pt`. The dIPC layer uses
-    /// it to release waiters parked on an async ring whose endpoint process
-    /// died — the wake must happen while the ring pages are still mapped,
-    /// or the physical futex key can no longer be derived.
-    pub fn host_futex_wake(&mut self, pt: PageTableId, addr: u64, n: usize) -> u64 {
-        self.host_futex_wake_at(pt, addr, n, 0)
-    }
-
-    /// [`host_futex_wake`](Self::host_futex_wake) with a virtual-time floor:
-    /// woken threads resume no earlier than cycle `at`. Host-side producers
-    /// injecting work "at" a chosen point on the simulated timeline need
-    /// this — a plain wake resumes the waiter from CPU 0's local clock,
-    /// which can lag the injection time by many slices (idle CPUs only
-    /// advance when dispatched), making the consumer observe data from its
-    /// local past and producing negative end-to-end latencies.
+    /// threads parked on the word at `addr` under `pt`, from CPU 0, and
+    /// returns how many woke.
+    ///
+    /// `at` is a virtual-time floor: woken threads resume no earlier than
+    /// cycle `at`. Host-side producers injecting work "at" a chosen point
+    /// on the simulated timeline need it — a plain wake (`at` = 0) resumes
+    /// the waiter from CPU 0's local clock, which can lag the injection
+    /// time by many slices (idle CPUs only advance when dispatched), making
+    /// the consumer observe data from its local past and producing negative
+    /// end-to-end latencies. The dIPC layer wakes with floor 0 to release
+    /// waiters parked on an async ring whose endpoint process died; the
+    /// wake must happen while the ring pages are still mapped, or the
+    /// physical futex key can no longer be derived.
     pub fn host_futex_wake_at(&mut self, pt: PageTableId, addr: u64, n: usize, at: u64) -> u64 {
         let Some(key) = self.futex_key(pt, addr) else { return 0 };
+        self.futex_wake(key, n, 0, at)
+    }
+
+    /// Wakes up to `n` threads parked on futex `key` from CPU `from`, each
+    /// no earlier than cycle `at`, and returns how many woke. Stale entries
+    /// (threads killed or unwound out of the wait) are discarded without
+    /// consuming a wake slot, so a live waiter can never miss its wakeup to
+    /// a dead one.
+    fn futex_wake(&mut self, key: u64, n: usize, from: usize, at: u64) -> u64 {
         let mut woken = 0u64;
         while woken < n as u64 {
             let next = match self.futexes.get_mut(&key) {
@@ -1769,12 +1622,12 @@ impl Kernel {
                 _ => break,
             };
             // The floor goes in before the wake queues the thread (the run
-            // queue caches its earliest `ready_at`); the wake itself only
-            // ever raises `ready_at`, so the order does not change the value.
+            // queue entry carries `ready_at`); the wake itself only ever
+            // raises `ready_at`, so the order does not change the value.
             match self.threads.get_mut(&next) {
                 Some(t) if t.state == ThreadState::Blocked(BlockReason::Futex(key)) => {
                     t.ready_at = t.ready_at.max(at);
-                    self.wake_from_cpu(next, 0);
+                    self.wake_from_cpu(next, from);
                     woken += 1;
                 }
                 _ => {}
@@ -1827,32 +1680,21 @@ impl Kernel {
         let Some(name) = self.read_user_string(i, args[0], args[1]) else {
             return SysResult::Ret(err(errno::EFAULT));
         };
-        self.bind_listener_common(i, &name)
-    }
-
-    /// Shared listener-creation path (also exposed to the host API).
-    fn bind_listener_common(&mut self, i: usize, name: &str) -> SysResult {
-        if self.named.contains_key(name) {
+        if self.named.contains_key(&name) {
             return SysResult::Ret(err(errno::EINVAL));
         }
         self.listeners.push(Listener {
-            name: name.to_string(),
+            name: name.clone(),
             backlog: VecDeque::new(),
             accept_waiters: Vec::new(),
             closed: false,
         });
         let id = self.listeners.len() - 1;
-        self.named.insert(name.to_string(), id);
         // Wake connectors parked on this name.
-        if let Some(waiters) = self.pending_connects.remove(name) {
-            for w in waiters {
-                if let Some(t) = self.threads.get(&w) {
-                    if matches!(t.state, ThreadState::Blocked(BlockReason::Connect(_))) {
-                        self.wake_from_cpu(w, i);
-                    }
-                }
-            }
+        for w in self.pending_connects.remove(&name).unwrap_or_default() {
+            self.wake_if_blocked(w, BlockReason::Connect(usize::MAX), i);
         }
+        self.named.insert(name, id);
         let pid = self.current_pid(i);
         let fd = self.procs.get_mut(&pid).expect("exists").add_fd(KObject::Listener(id));
         SysResult::Ret(fd.0 as u64)
@@ -1987,12 +1829,6 @@ impl Kernel {
         SysResult::Ret(n as u64)
     }
 
-    /// Preferred CPU of a thread (affinity, else last CPU).
-    fn thread_cpu(&self, tid: Tid) -> usize {
-        let t = &self.threads[&tid];
-        t.affinity.unwrap_or(t.last_cpu)
-    }
-
     /// L4-style synchronous call: direct switch to the server thread with
     /// the message in registers (no marshalling, no run-queue round trip).
     fn sys_l4_call(&mut self, i: usize, tid: Tid, args: [u64; 6]) -> SysResult {
@@ -2016,7 +1852,7 @@ impl Kernel {
         t.pending_syscall = None; // the reply delivers the result directly
         self.deschedule(i, ThreadState::Blocked(BlockReason::L4Reply(dst)));
         if server_waiting {
-            if self.thread_cpu(dst) == i {
+            if home_cpu(&self.threads[&dst]) == i {
                 // Same-CPU fast path: hand the CPU to the server.
                 self.direct_switch(i, dst);
             } else {
@@ -2078,7 +1914,7 @@ impl Kernel {
                 // Direct switch back to the caller we just replied to, if it
                 // belongs on this CPU (the L4 switchback fast path).
                 if let Some(c) = replied_to {
-                    if self.thread_cpu(c) == i {
+                    if home_cpu(&self.threads[&c]) == i {
                         self.threads.get_mut(&c).expect("exists").state = ThreadState::Runnable;
                         self.direct_switch(i, c);
                     } else {
@@ -2106,7 +1942,7 @@ impl Kernel {
         }
         // Remove from whichever runqueue holds it (it may have been made
         // runnable by an earlier wake).
-        self.dequeue(tid);
+        self.runqs.remove(tid);
         let c = self.sys.ctx_restore;
         self.charge(i, TimeCat::Sched, c);
         self.load_thread(i, tid);

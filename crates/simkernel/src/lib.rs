@@ -23,6 +23,7 @@ pub mod kernel;
 pub mod object;
 pub mod percpu;
 pub mod process;
+pub mod sched;
 pub mod syscall;
 pub mod table;
 

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use cdvm::isa::reg::*;
 use cdvm::{Asm, Instr};
-use simkernel::{percpu, sysno, KStep, Kernel, KernelConfig, TimeCat};
+use simkernel::{percpu, sysno, KStep, Kernel, KernelConfig, ThreadState, TimeCat, WakePolicy};
 use simmem::Memory;
 
 fn kernel(cpus: usize) -> Kernel {
@@ -520,10 +520,10 @@ fn user_fault_default_kill() {
     let img = k.load_program(pid, &a.finish(), &HashMap::new());
     let tid = k.spawn_thread(pid, img.base, &[]);
     match k.run_until_stop() {
-        simkernel::KStep::UserFault { cpu, tid: ftid, fault } => {
+        simkernel::KStep::UserFault { tid: ftid, fault, .. } => {
             assert_eq!(ftid, tid);
             assert_eq!(fault.kind, cdvm::FaultKind::Crash);
-            k.default_fault_kill(cpu, ftid);
+            k.default_fault_kill(ftid);
         }
         other => panic!("expected fault, got {other:?}"),
     }
@@ -744,8 +744,8 @@ struct MixPrint {
 /// clients): with stealing on, the CPUs that nap raid the ones that queue.
 /// Part-way through, the host kills the first queued yielder and wakes the
 /// parked thread with a `ready_at` floor.
-fn scheduler_mix(steal: bool) -> MixPrint {
-    let mut k = Kernel::new(KernelConfig { cpus: 4, steal, ..KernelConfig::default() });
+fn scheduler_mix(wake: WakePolicy, steal: bool) -> MixPrint {
+    let mut k = Kernel::new(KernelConfig { cpus: 4, wake, steal, ..KernelConfig::default() });
     let mix = k.create_process("mix", false);
     let srv = k.create_process("srv", false);
     let prog = build_sched_mix();
@@ -835,10 +835,12 @@ fn scheduler_mix(steal: bool) -> MixPrint {
 
 /// The schedule is a contract: these constants were captured on the commit
 /// before the run queues carried `ready_at` and the kernel tables moved to
-/// `IdMap`. Debug builds also run the queue-cache invariant on every step.
+/// `IdMap`. Debug builds also check the queued entries against the thread
+/// table on every step.
 #[test]
 fn scheduler_mix_matches_pinned_schedule() {
-    let (off, on) = (scheduler_mix(false), scheduler_mix(true));
+    let (off, on) =
+        (scheduler_mix(WakePolicy::Local, false), scheduler_mix(WakePolicy::Local, true));
     assert_ne!(off, on, "the mix must make the napping CPUs steal");
     assert_eq!(
         off,
@@ -868,4 +870,81 @@ fn scheduler_mix_matches_pinned_schedule() {
             cpu_time_sum: 29455265,
         }
     );
+}
+
+/// `WakePolicy::Spread` (the Linux OLTP stack's policy) with stealing on,
+/// pinned like the two runs above. Captured on the commit before the run
+/// queues moved behind `simkernel::sched::RunQueues`.
+#[test]
+fn scheduler_mix_spread_matches_pinned_schedule() {
+    assert_eq!(
+        scheduler_mix(WakePolicy::Spread, true),
+        MixPrint {
+            now_max: 14325387,
+            breakdown: [
+                [10559272, 102830, 38194, 482320, 1142530, 240, 63247],
+                [4457727, 152530, 56654, 684675, 2101460, 240, 648993],
+                [2763596, 125790, 46722, 1286099, 1134180, 40560, 2700296],
+                [11484670, 61950, 23010, 15250, 906710, 240, 1833557],
+            ],
+            cpu_time_fnv: 2031951200479307818,
+            cpu_time_sum: 29455165,
+        }
+    );
+}
+
+/// Under `WakePolicy::Spread` a wake offers an unpinned thread the
+/// least-loaded CPU, but takes it only when that CPU is idle and not the
+/// waker's own. Otherwise the thread goes back on its last CPU and no IPI
+/// is sent. `fig1` and `fig8` depend on this fallback.
+#[test]
+fn spread_wake_to_a_busy_target_queues_on_the_last_cpu() {
+    let mut k =
+        Kernel::new(KernelConfig { cpus: 3, wake: WakePolicy::Spread, ..KernelConfig::default() });
+    let pid = k.create_process("p", false);
+    let mut a = Asm::new();
+    // Burns about a million cycles (well inside one quantum) and exits 1.
+    a.label("spin");
+    a.li(S2, 500);
+    a.label("loop");
+    a.push(Instr::Work { rs1: 0, imm: 2000 });
+    a.push(Instr::Addi { rd: S2, rs1: S2, imm: -1 });
+    a.bne(S2, ZERO, "loop");
+    a.li(A0, 1);
+    a.push(Instr::Halt);
+    a.label("parked");
+    a.push(Instr::Add { rd: S0, rs1: A0, rs2: ZERO });
+    emit_wait(&mut a, S0, "pk");
+    a.li(A0, 2);
+    a.push(Instr::Halt);
+    let img = k.load_program(pid, &a.finish(), &HashMap::new());
+    let word = k.alloc_mem(pid, 4096, simmem::PageFlags::RW);
+    let pt = k.procs[&pid].pt;
+    let spin = |k: &mut Kernel, cpu| {
+        let t = k.spawn_thread(pid, img.addr("spin"), &[]);
+        k.pin_thread(t, cpu);
+    };
+    // Threads start on CPU `tid % 3`: the parked thread (tid 2) on CPU 2.
+    spin(&mut k, 0);
+    let parked = k.spawn_thread(pid, img.addr("parked"), &[word]);
+    spin(&mut k, 0);
+    spin(&mut k, 1);
+    spin(&mut k, 2);
+    let blocked = |k: &Kernel| matches!(k.threads[&parked].state, ThreadState::Blocked(_));
+    while !(blocked(&k) && k.cpus.iter().all(|c| c.current.is_some())) {
+        assert_eq!(k.step_sim(), KStep::Progress);
+    }
+    assert_eq!(k.threads[&parked].last_cpu, 2);
+    assert!(k.events.is_empty());
+    // A host wake comes from CPU 0. Loads are 2, 1, 1: the target is CPU 1,
+    // which is busy.
+    k.mem.kwrite_u64(pt, word, 1).unwrap();
+    assert_eq!(k.host_futex_wake_at(pt, word, 1, 0), 1);
+    assert!(k.events.is_empty(), "an IPI was sent to a busy CPU");
+    while k.threads[&parked].state == ThreadState::Runnable {
+        assert_eq!(k.step_sim(), KStep::Progress);
+    }
+    assert_eq!(k.threads[&parked].state, ThreadState::Running(2), "not queued on its last CPU");
+    k.run_to_completion();
+    assert_eq!(k.threads[&parked].exit_code, 2);
 }
